@@ -19,6 +19,13 @@ enforces:
   and per-run score exactness, straight from the report's
   ``invariants`` block.
 
+A ``scaling`` row replays heavy-tail at 10k to 1M offered requests
+(``--quick`` stops at 160k) on pre-trained models and records the median
+wall time per request of each size; ``--check`` requires it to stay flat —
+the largest size within ``SCALING_FLATNESS`` x the smallest — and the 1M
+replay to finish within the budget pinned in ``BENCH_scenarios.json``
+(pinned at twice the first measurement, then carried forward unchanged).
+
 A second section, ``model_grid``, sweeps the database-perspective
 inference axes of Guan et al. — batch size x trees x depth — over the
 steady scenario (every cell trains its own model shape in process and
@@ -37,25 +44,39 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import statistics
+import time
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from repro.ledger import scenario_report_bytes
-from repro.serve.scenarios import SCENARIOS, ScenarioRunner, get_scenario
+from repro.serve.scenarios import (SCENARIOS, ScenarioRunner,
+                                   expected_requests, get_scenario)
 
 #: --quick shrinks every scenario window to this factor (rates and the
 #: fleet stay untouched, so overload scenarios still overload)
 QUICK_SCALE = 0.3
+#: offered requests of the heavy-tail scaling row; --quick stops at 160k
+SCALING_SIZES = (10_000, 40_000, 160_000, 1_000_000)
+QUICK_SCALING_MAX = 160_000
+#: --check: the largest size's wall time per request may be at most
+#: this factor above the smallest's (a hidden quadratic grows it ~100x
+#: across the range)
+SCALING_FLATNESS = 1.5
+#: each size replays until this many seconds have passed (at least
+#: once) and its median replay counts, so small and large sizes are
+#: measured over a similar stretch of host time
+SCALING_MIN_S = 1.0
+#: the committed bench file, whose pinned 1M budget every run carries
+PINNED = Path(__file__).resolve().parent.parent / "BENCH_scenarios.json"
 
 
 def scores_by_request(runner: ScenarioRunner) -> dict:
     """request id -> served score row, from the finished ledger."""
     report = runner.serving_report
-    return {
-        record.request_id: report.scores[pos]
-        for pos, record in enumerate(report.records)
-    }
+    return dict(zip(report.request_id.tolist(), report.scores))
 
 
 def run_scenario_entry(name: str, scale: float) -> dict:
@@ -121,6 +142,55 @@ def run_scenario_entry(name: str, scale: float) -> dict:
         "deterministic": deterministic,
         "cache_exact": cache_exact,
     }
+
+
+def run_scaling(quick: bool) -> list:
+    """Heavy-tail replays from 10k to 1M offered requests.
+
+    The served models are trained once and injected, so each timed
+    ``ScenarioRunner.run`` covers exactly the replay: trace build,
+    admission, scoring, audits and report assembly.
+    """
+    base = get_scenario("heavy-tail")
+    per_unit = expected_requests(base)
+    trained = ScenarioRunner(get_scenario("heavy-tail", scale=0.1))
+    trained.run()
+    rows = []
+    for size in SCALING_SIZES:
+        if quick and size > QUICK_SCALING_MAX:
+            break
+        scenario = get_scenario("heavy-tail", scale=size / per_unit)
+        times = []
+        while not times or sum(times) < SCALING_MIN_S:
+            runner = ScenarioRunner(scenario, registry=trained.registry,
+                                    cuts=trained.cuts)
+            began = time.perf_counter()
+            report = runner.run()
+            times.append(time.perf_counter() - began)
+        wall = statistics.median(times)
+        arrivals = report["totals"]["arrivals"]
+        rows.append({
+            "offered": size,
+            "arrivals": arrivals,
+            "dropped": report["totals"]["dropped"],
+            "replays": len(times),
+            "wall_s": wall,
+            "us_per_request": wall / arrivals * 1e6,
+            "invariants_ok": all(report["invariants"].values()),
+        })
+        print(f"  scaling {size:>9,} offered: {arrivals:9,} arrivals "
+              f"in {wall:7.3f}s (median of {len(times)}) = "
+              f"{wall / arrivals * 1e6:6.2f} us/request")
+    return rows
+
+
+def pinned_budget() -> Optional[float]:
+    """The 1M-request wall budget pinned in the committed bench file."""
+    try:
+        committed = json.loads(PINNED.read_text())
+    except (OSError, ValueError):
+        return None
+    return committed.get("scaling", {}).get("budget_1m_s")
 
 
 def run_model_grid(quick: bool) -> list:
@@ -193,6 +263,13 @@ def main() -> int:
     print(f"scenario bench ({mode} workload, scale={scale})")
     grid = {name: run_scenario_entry(name, scale) for name in SCENARIOS}
     model_grid = run_model_grid(args.quick)
+    scaling = run_scaling(args.quick)
+    budget = pinned_budget()
+    largest = scaling[-1]
+    if budget is None and largest["offered"] == SCALING_SIZES[-1]:
+        budget = round(2.0 * largest["wall_s"], 1)
+        print(f"pinned the 1M replay budget at {budget}s")
+    flatness = largest["us_per_request"] / scaling[0]["us_per_request"]
 
     report = {
         "generated_by": "bench/scenario_bench.py",
@@ -201,6 +278,13 @@ def main() -> int:
         "numpy": np.__version__,
         "scenarios": grid,
         "model_grid": model_grid,
+        "scaling": {
+            "scenario": "heavy-tail",
+            "rows": scaling,
+            "flatness": flatness,
+            "max_flatness": SCALING_FLATNESS,
+            "budget_1m_s": budget,
+        },
     }
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True)
                         + "\n")
@@ -233,6 +317,21 @@ def main() -> int:
             print(f"MISSED: model-grid cell t={cell['trees']} "
                   f"l={cell['layers']} b={cell['batch']} violated a "
                   "ledger invariant")
+    for row in scaling:
+        if not row["invariants_ok"]:
+            ok = False
+            print(f"MISSED: scaling replay of {row['offered']:,} "
+                  "requests violated a ledger invariant")
+    if flatness > SCALING_FLATNESS:
+        ok = False
+        print(f"MISSED: wall time per request grew {flatness:.2f}x from "
+              f"{scaling[0]['offered']:,} to {largest['offered']:,} "
+              f"requests (gate {SCALING_FLATNESS}x)")
+    if (largest["offered"] == SCALING_SIZES[-1] and budget is not None
+            and largest["wall_s"] > budget):
+        ok = False
+        print(f"MISSED: the 1M replay took {largest['wall_s']:.2f}s, "
+              f"over its pinned {budget}s budget")
     if ok:
         print("all scenario conformance targets met")
     return 0 if (ok or not args.check) else 1

@@ -130,7 +130,7 @@ def bench_latency(registry, quick: bool) -> dict:
         ).run(trace)
         stats = report.latency_stats()
         results[balancer] = stats.to_dict()
-        results[balancer]["batches"] = len(report.batches)
+        results[balancer]["batches"] = report.batch_size.size
         print(f"  {balancer:24s} p50={stats.p50_s * 1e3:6.2f}ms "
               f"p95={stats.p95_s * 1e3:6.2f}ms "
               f"p99={stats.p99_s * 1e3:6.2f}ms "
@@ -150,19 +150,16 @@ def bench_hot_swap(registry, quick: bool) -> dict:
     report = MicroBatcher(
         replicas, BatchPolicy(max_batch_size=128, max_delay_s=0.002)
     ).run(trace, swaps=[(swap_at, replicas.deployer(2))])
-    single_version = all(
-        len({r.model_version for r in report.records
-             if r.batch_id == batch.batch_id}) == 1
-        for batch in report.batches
-    )
+    single_version = report.single_version_batches()
+    versions = report.request_versions()
     expected = workers * (registry.get(1).nbytes
                           + registry.get(2).nbytes)
     entry = {
         "swap_at_s": round(swap_at, 6),
         "versions_served": report.versions_served(),
         "single_version_batches": single_version,
-        "requests_v1": sum(r.model_version == 1 for r in report.records),
-        "requests_v2": sum(r.model_version == 2 for r in report.records),
+        "requests_v1": int((versions == 1).sum()),
+        "requests_v2": int((versions == 2).sum()),
         "deploy_bytes": replicas.deploy_bytes,
         "expected_deploy_bytes": expected,
     }

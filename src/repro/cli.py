@@ -42,6 +42,7 @@ Run ``python -m repro.cli <command> --help`` for per-command options.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -559,16 +560,12 @@ def cmd_serve_bench(args) -> int:
     ))
     report = batcher.run(trace, swaps=swaps)
     stats = report.latency_stats()
-    print(f"served {stats.count} requests in {len(report.batches)} "
+    print(f"served {stats.count} requests in {report.batch_size.size} "
           f"batches: p50={stats.p50_s * 1e3:.2f}ms "
           f"p95={stats.p95_s * 1e3:.2f}ms p99={stats.p99_s * 1e3:.2f}ms "
           f"throughput={stats.throughput_rps:.0f}rps")
     if swaps:
-        single = all(
-            len({r.model_version for r in report.records
-                 if r.batch_id == b.batch_id}) == 1
-            for b in report.batches
-        )
+        single = report.single_version_batches()
         print(f"hot-swap at t={swaps[0][0] * 1e3:.1f}ms: versions served "
               f"{report.versions_served()}, "
               f"single-version batches={single}")
@@ -598,7 +595,7 @@ def cmd_serve_bench(args) -> int:
         print(f"score reduction traffic: serve:partial="
               f"{replicas.partial_bytes} serve:reduce="
               f"{replicas.reduce_bytes} bytes over "
-              f"{len(report.batches)} batches")
+              f"{report.batch_size.size} batches")
         network = NetworkModel()
         layouts = price_serving_layouts(
             entry.nbytes,
@@ -764,6 +761,13 @@ def cmd_ledger(args) -> int:
     return 0
 
 
+def _usage_error(message: str) -> int:
+    """Report bad command-line input as one ``repro: error:`` line on
+    stderr; returns exit status 2, as argparse does for bad usage."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_scenarios(args) -> int:
     """``repro scenarios list|run|report``."""
     import os
@@ -783,16 +787,30 @@ def cmd_scenarios(args) -> int:
         return 0
 
     if args.scenario_command == "report":
-        print(format_scenario_report(load_scenario_report(args.report)))
+        try:
+            report = load_scenario_report(args.report)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            return _usage_error(f"{args.report} is not a JSON scenario "
+                                f"report ({exc})")
+        except (OSError, ValueError) as exc:
+            return _usage_error(str(exc))
+        print(format_scenario_report(report))
         return 0
 
     names = args.names or list(SCENARIOS)
     scale = 0.2 if args.smoke else args.scale
     if args.shards < 0:
-        raise SystemExit(f"--shards must be >= 1, got {args.shards}")
+        return _usage_error(f"--shards must be >= 1, got {args.shards}")
+    # resolve every scenario before replaying any, so bad input fails
+    # fast and alone
+    try:
+        selected = [get_scenario(name, scale=scale) for name in names]
+    except KeyError as exc:
+        return _usage_error(exc.args[0])
+    except ValueError as exc:
+        return _usage_error(str(exc))
     failed = False
-    for position, name in enumerate(names):
-        scenario = get_scenario(name, scale=scale)
+    for position, (name, scenario) in enumerate(zip(names, selected)):
         if args.shards > 1:
             import dataclasses
 

@@ -141,7 +141,7 @@ def save_scenario_report(report: dict, path: str) -> None:
 def load_scenario_report(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         report = json.load(fh)
-    schema = report.get("schema")
+    schema = report.get("schema") if isinstance(report, dict) else None
     if schema != SCENARIO_SCHEMA:
         raise ValueError(
             f"{path} is not a scenario report (schema {schema!r}, "

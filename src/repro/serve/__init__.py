@@ -12,7 +12,7 @@ package turns them into production-shaped inference:
   thresholds to uint8 bin indices and traverses cache-resident binned
   batches (still bit-identical);
 - :mod:`~repro.serve.batcher` — micro-batching request scheduler on the
-  simulated clock with a per-request latency ledger;
+  simulated clock with a columnar request/batch/drop ledger;
 - :mod:`~repro.serve.registry` — versioned model registry with payload
   checksums, atomic hot-swap, and rollback;
 - :mod:`~repro.serve.replica` — replicated serving over the simulated

@@ -11,20 +11,27 @@ time of each batch is the measured wall-clock of the compiled predictor,
 while tests substitute a deterministic ``service_model`` so schedules are
 reproducible down to the float.
 
-Every request's life is recorded in a :class:`RequestRecord` (arrival,
-batch, dispatch start, completion, worker, model version) and summarized
-by :class:`LatencyStats` (p50/p95/p99/mean/max latency plus throughput).
-The model version of a batch is resolved exactly once at dispatch — that
-is what makes a registry hot-swap atomic from the traffic's point of
-view: each request is served by exactly one version, and the swap falls
-on a batch boundary.
+Every run is recorded in a columnar :class:`ServingReport` — one numpy
+array per field: per served request its id, arrival and batch; per
+batch its close, dispatch start, completion, worker and model version;
+per dropped request its id, arrival, drop instant, reason, tenant and
+priority — and summarized by :class:`LatencyStats` (p50/p95/p99/mean/
+max latency plus throughput).  The model version of a batch is resolved
+exactly once at dispatch and stored once per batch — that is what makes
+a registry hot-swap atomic from the traffic's point of view: each
+request is served by exactly one version, and the swap falls on a batch
+boundary.
 """
 
 from __future__ import annotations
 
+import bisect
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from collections import deque
+from dataclasses import dataclass
+from functools import cached_property
+from typing import (Callable, Deque, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -186,9 +193,10 @@ def synthetic_trace(num_requests: int, num_features: int,
     return RequestTrace(features=features, arrivals=arrivals)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RequestRecord:
-    """Ledger entry for one served request (all times simulated)."""
+    """One served request, as a row view of the ledger (all times
+    simulated)."""
 
     request_id: int
     arrival_s: float
@@ -235,9 +243,9 @@ class DropRecord:
         return self.drop_s - self.arrival_s
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchRecord:
-    """One dispatched micro-batch."""
+    """One dispatched micro-batch, as a row view of the ledger."""
 
     batch_id: int
     size: int
@@ -282,24 +290,26 @@ class LatencyStats:
         return self.dropped / offered if offered else 0.0
 
     @classmethod
-    def from_records(cls, records: Sequence[RequestRecord],
-                     dropped: int = 0) -> "LatencyStats":
-        if not records:
+    def from_arrays(cls, latency_s: np.ndarray, queue_s: np.ndarray,
+                    completion_s: np.ndarray,
+                    dropped: int = 0) -> "LatencyStats":
+        """Stats of the served requests from their per-request latency,
+        queue wait and completion time (aligned arrays, any order)."""
+        if not latency_s.size:
             return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                        dropped=dropped)
-        lat = np.array([r.latency_s for r in records])
-        queue = np.array([r.queue_s for r in records])
-        summary = percentile_summary(lat)
-        makespan = max(r.completion_s for r in records)
+        summary = percentile_summary(latency_s)
+        count = int(latency_s.size)
+        makespan = float(completion_s.max())
         return cls(
-            count=len(records),
+            count=count,
             p50_s=summary["p50_s"], p95_s=summary["p95_s"],
             p99_s=summary["p99_s"],
             mean_s=summary["mean_s"], max_s=summary["max_s"],
-            mean_queue_s=float(queue.mean()),
-            throughput_rps=len(records) / makespan if makespan > 0
+            mean_queue_s=float(queue_s.mean()),
+            throughput_rps=count / makespan if makespan > 0
             else float("inf"),
-            makespan_s=float(makespan),
+            makespan_s=makespan,
             dropped=dropped,
         )
 
@@ -315,30 +325,198 @@ class LatencyStats:
         }
 
 
-@dataclass
-class ServingReport:
-    """Full outcome of one :meth:`MicroBatcher.run`."""
+#: drop reasons of the ledger's ``drop_reason`` codes (code = index)
+DROP_REASONS = ("reject", "shed-oldest")
+REJECT, SHED = range(len(DROP_REASONS))
 
-    records: List[RequestRecord] = field(default_factory=list)
-    batches: List[BatchRecord] = field(default_factory=list)
-    #: requests dropped by the overload policy, in drop order
-    dropped: List[DropRecord] = field(default_factory=list)
-    #: per-request raw scores, ``(num_requests, gradient_dim)``;
-    #: ``None`` unless the run collected them
+#: column name -> dtype, by ledger table; a table's columns align
+_REQUEST_COLUMNS = {"request_id": np.int64, "arrival_s": np.float64,
+                    "batch_id": np.int64}
+_BATCH_COLUMNS = {"batch_size": np.int64, "close_s": np.float64,
+                  "start_s": np.float64, "completion_s": np.float64,
+                  "worker": np.int64, "model_version": np.int64}
+_DROP_COLUMNS = {"drop_id": np.int64, "drop_arrival_s": np.float64,
+                 "drop_s": np.float64, "drop_reason": np.int8,
+                 "drop_tenant": np.int64, "drop_priority": np.int64}
+
+
+@dataclass(eq=False)
+class ServingReport:
+    """Full outcome of one :meth:`MicroBatcher.run`: a columnar ledger.
+
+    The columns are the source of truth, one aligned array per field in
+    three tables — served requests in dispatch order (``request_id``,
+    ``arrival_s``, ``batch_id``), dispatched batches indexed by batch id
+    (``batch_size``, ``close_s``, ``start_s``, ``completion_s``,
+    ``worker``, ``model_version``) and dropped requests in drop order
+    (``drop_id``, ``drop_arrival_s``, ``drop_s``, ``drop_reason`` — a
+    code into :data:`DROP_REASONS` — ``drop_tenant``,
+    ``drop_priority``).  A served request's start, completion, worker
+    and model version are its batch's.  Every audit is a scan or
+    group-by over these columns.
+
+    ``records``, ``batches`` and ``dropped`` are read-only row views
+    (tuples of :class:`RequestRecord`, :class:`BatchRecord` and
+    :class:`DropRecord`), built on first access for callers that want
+    objects; no hot path reads them.
+    """
+
+    request_id: np.ndarray = ()
+    arrival_s: np.ndarray = ()
+    batch_id: np.ndarray = ()
+    batch_size: np.ndarray = ()
+    close_s: np.ndarray = ()
+    start_s: np.ndarray = ()
+    completion_s: np.ndarray = ()
+    worker: np.ndarray = ()
+    model_version: np.ndarray = ()
+    drop_id: np.ndarray = ()
+    drop_arrival_s: np.ndarray = ()
+    drop_s: np.ndarray = ()
+    drop_reason: np.ndarray = ()
+    drop_tenant: np.ndarray = ()
+    drop_priority: np.ndarray = ()
+    #: per-request raw scores, ``(num_requests, gradient_dim)``, rows
+    #: aligned with ``request_id``; ``None`` unless the run collected
+    #: them
     scores: Optional[np.ndarray] = None
 
+    def __post_init__(self) -> None:
+        for table in (_REQUEST_COLUMNS, _BATCH_COLUMNS, _DROP_COLUMNS):
+            for name, dtype in table.items():
+                setattr(self, name,
+                        np.asarray(getattr(self, name), dtype=dtype))
+            lengths = {name: getattr(self, name).size for name in table}
+            if len(set(lengths.values())) > 1:
+                raise ValueError(f"ledger columns must align: {lengths}")
+
+    # -- row views ---------------------------------------------------------
+
+    @cached_property
+    def records(self) -> Tuple[RequestRecord, ...]:
+        """Served requests in dispatch order (``scores`` rows align)."""
+        b = self.batch_id
+        return tuple(map(
+            RequestRecord, self.request_id.tolist(),
+            self.arrival_s.tolist(), b.tolist(),
+            self.start_s[b].tolist(), self.completion_s[b].tolist(),
+            self.worker[b].tolist(), self.model_version[b].tolist()))
+
+    @cached_property
+    def batches(self) -> Tuple[BatchRecord, ...]:
+        """Dispatched batches in batch-id order."""
+        return tuple(map(
+            BatchRecord, range(self.batch_size.size),
+            self.batch_size.tolist(), self.close_s.tolist(),
+            self.start_s.tolist(), self.completion_s.tolist(),
+            self.worker.tolist(), self.model_version.tolist()))
+
+    @cached_property
+    def dropped(self) -> Tuple[DropRecord, ...]:
+        """Requests dropped by the overload policy, in drop order."""
+        reasons = [DROP_REASONS[code] for code in self.drop_reason.tolist()]
+        return tuple(map(
+            DropRecord, self.drop_id.tolist(),
+            self.drop_arrival_s.tolist(), self.drop_s.tolist(), reasons,
+            self.drop_tenant.tolist(), self.drop_priority.tolist()))
+
+    # -- column views and audits --------------------------------------------
+
+    def latency_s(self) -> np.ndarray:
+        """End-to-end latency of every served request, dispatch order."""
+        return self.completion_s[self.batch_id] - self.arrival_s
+
+    def request_versions(self) -> np.ndarray:
+        """Model version that served each request, dispatch order."""
+        return self.model_version[self.batch_id]
+
     def latency_stats(self) -> LatencyStats:
-        return LatencyStats.from_records(self.records,
-                                         dropped=len(self.dropped))
+        b = self.batch_id
+        return LatencyStats.from_arrays(
+            self.latency_s(), self.start_s[b] - self.arrival_s,
+            self.completion_s[b], dropped=int(self.drop_id.size))
 
     def versions_served(self) -> List[int]:
         """Distinct model versions that served traffic, in first-use
         order — the hot-swap tests assert on this."""
-        seen: List[int] = []
-        for record in self.records:
-            if record.model_version not in seen:
-                seen.append(record.model_version)
-        return seen
+        versions, first = np.unique(self.request_versions(),
+                                    return_index=True)
+        return versions[np.argsort(first)].tolist()
+
+    def single_version_batches(self) -> bool:
+        """Every served request sits in exactly one dispatched batch, so
+        exactly one model version served it.
+
+        The ledger stores the version once per batch, so a batch cannot
+        straddle two versions by construction; what the layout leaves
+        open is checked here in one pass: no request served twice,
+        every batch id names a dispatched batch, and every batch's size
+        counts its members.
+        """
+        ids, batch = self.request_id, self.batch_id
+        num_batches = self.batch_size.size
+        if not ids.size:
+            return not self.batch_size.any()
+        if ids.min() < 0 or batch.min() < 0 or batch.max() >= num_batches:
+            return False
+        return bool(np.bincount(ids).max() == 1 and np.array_equal(
+            np.bincount(batch, minlength=num_batches), self.batch_size))
+
+
+class _LedgerBuilder:
+    """One run's ledger as it grows: one append per dispatched batch or
+    dropped request, never one per served request."""
+
+    def __init__(self, collect_scores: bool) -> None:
+        self.ids: List[np.ndarray] = []
+        #: (size, close, start, completion, worker, version) per batch
+        self.batches: List[tuple] = []
+        #: (request id, drop instant, reason code) per drop
+        self.drops: List[tuple] = []
+        self.scores: Optional[List[np.ndarray]] = (
+            [] if collect_scores else None)
+
+    def batch(self, ids: np.ndarray, close: float,
+              result: DispatchResult) -> None:
+        self.ids.append(ids)
+        self.batches.append((ids.size, close, result.start_s,
+                             result.completion_s, result.worker,
+                             result.model_version))
+        if self.scores is not None:
+            self.scores.append(result.scores)
+
+    def drop(self, request: int, drop_s: float, reason: int) -> None:
+        self.drops.append((request, drop_s, reason))
+
+    def build(self, trace: RequestTrace) -> ServingReport:
+        request_id = (np.concatenate(self.ids) if self.ids
+                      else np.zeros(0, dtype=np.int64))
+        size, close, start, completion, worker, version = (
+            zip(*self.batches) if self.batches else ((),) * 6)
+        drop_id, drop_s, reason = (zip(*self.drops) if self.drops
+                                   else ((),) * 3)
+        drop_id = np.asarray(drop_id, dtype=np.int64)
+        size = np.asarray(size, dtype=np.int64)
+        scores = None
+        if self.scores is not None:
+            scores = (np.concatenate(self.scores, axis=0) if self.scores
+                      else np.zeros((0, 0)))
+        return ServingReport(
+            request_id=request_id,
+            arrival_s=trace.arrivals[request_id],
+            batch_id=np.repeat(np.arange(size.size), size),
+            batch_size=size, close_s=close, start_s=start,
+            completion_s=completion, worker=worker,
+            model_version=version,
+            drop_id=drop_id, drop_arrival_s=trace.arrivals[drop_id],
+            drop_s=drop_s, drop_reason=reason,
+            drop_tenant=(np.zeros_like(drop_id) if trace.tenants is None
+                         else trace.tenants[drop_id]),
+            drop_priority=(np.zeros_like(drop_id)
+                           if trace.priorities is None
+                           else trace.priorities[drop_id]),
+            scores=scores,
+        )
 
 
 class ModelServer:
@@ -446,12 +624,9 @@ class MicroBatcher:
         policy = self.policy
         arrivals = trace.arrivals
         total = trace.num_requests
-        pending_swaps = sorted(swaps, key=lambda s: s[0])
-        report = ServingReport()
-        if collect_scores:
-            scores: Optional[List[np.ndarray]] = []
+        swap_clock = _SwapClock(swaps)
+        ledger = _LedgerBuilder(collect_scores)
         i = 0
-        swap_i = 0
         while i < total:
             first = arrivals[i]
             # the batch closes when full, when the oldest request times
@@ -468,67 +643,14 @@ class MicroBatcher:
                 int(np.searchsorted(arrivals, close, side="right")) - i,
                 policy.max_batch_size,
             )
-            while swap_i < len(pending_swaps) \
-                    and pending_swaps[swap_i][0] <= close:
-                when, action = pending_swaps[swap_i]
-                action(when)
-                swap_i += 1
-            result = self._dispatch(
-                trace.features[i:i + size], float(close),
-                np.arange(i, i + size, dtype=np.int64),
-            )
-            batch_id = len(report.batches)
-            report.batches.append(BatchRecord(
-                batch_id=batch_id, size=size, close_s=float(close),
-                start_s=result.start_s,
-                completion_s=result.completion_s,
-                worker=result.worker,
-                model_version=result.model_version,
-            ))
-            for k in range(size):
-                report.records.append(RequestRecord(
-                    request_id=i + k,
-                    arrival_s=float(arrivals[i + k]),
-                    batch_id=batch_id,
-                    start_s=result.start_s,
-                    completion_s=result.completion_s,
-                    worker=result.worker,
-                    model_version=result.model_version,
-                ))
-            if collect_scores:
-                scores.append(result.scores)
+            swap_clock.fire_until(close)
+            ids = np.arange(i, i + size, dtype=np.int64)
+            result = self._dispatch(trace.features[i:i + size],
+                                    float(close), ids)
+            ledger.batch(ids, float(close), result)
             i += size
-        # late swaps (after the last close) still fire so a scheduled
-        # deploy is never silently skipped
-        for when, action in pending_swaps[swap_i:]:
-            action(when)
-        if collect_scores:
-            report.scores = (np.concatenate(scores, axis=0) if scores
-                             else np.zeros((0, 0)))
-        return report
-
-    @staticmethod
-    def _shed_victim(trace: RequestTrace, backlog: List[int],
-                     newcomer: int) -> Optional[int]:
-        """Backlog position the shed policy evicts to admit ``newcomer``,
-        or ``None`` when the newcomer itself must be refused.
-
-        Unprioritized traces shed the queue head (plain drop-head).
-        With priorities, admission is class-aware: the victim is the
-        *oldest request of the lowest priority class queued* — so a
-        higher-priority request is never dropped while a lower-priority
-        one sits in the queue — and a newcomer below every queued class
-        is refused rather than admitted over anyone's head.
-        """
-        if trace.priorities is None:
-            return 0
-        lowest = min(trace.priority_of(r) for r in backlog)
-        if trace.priority_of(newcomer) < lowest:
-            return None
-        for pos, request in enumerate(backlog):
-            if trace.priority_of(request) == lowest:
-                return pos
-        raise AssertionError("unreachable: lowest class vanished")
+        swap_clock.fire_rest()
+        return ledger.build(trace)
 
     def _run_bounded(self, trace: RequestTrace,
                      swaps: Sequence[SwapEvent],
@@ -539,105 +661,148 @@ class MicroBatcher:
         Requests are admitted at their arrival instant.  A full queue
         either turns the newcomer away (``reject``) or evicts a queued
         victim (``shed-oldest``: the oldest request of the lowest
-        priority class present, see :meth:`_shed_victim`); evicting the
-        head restarts the delay budget from the new head, so a shedding
-        queue under sustained overload keeps dispatching full, fresh
-        batches.  ``report.records`` follows dispatch order (with
-        shedding this is not request order); ``report.scores`` rows
-        align with it.
+        priority class present, see :class:`_AdmissionQueue`); evicting
+        the head restarts the delay budget from the new head, so a
+        shedding queue under sustained overload keeps dispatching full,
+        fresh batches.  ``report.request_id`` follows dispatch order
+        (with shedding this is not request order); ``report.scores``
+        rows align with it.
+
+        The backend's ``next_free_s()`` is read once per dispatch: a
+        backend's readiness changes only when it dispatches (or when a
+        swap action, which fires just before a dispatch, redeploys it).
         """
         policy = self.policy
-        arrivals = trace.arrivals
+        batch_size = policy.max_batch_size
+        arrivals = trace.arrivals.tolist()
         total = trace.num_requests
-        pending_swaps = sorted(swaps, key=lambda s: s[0])
-        report = ServingReport()
-        if collect_scores:
-            scores: List[np.ndarray] = []
-        backlog: List[int] = []
+        shedding = policy.overload == "shed-oldest"
+        queue = _AdmissionQueue(trace.priorities if shedding else None)
+        queued = queue.ids
+        swap_clock = _SwapClock(swaps)
+        ledger = _LedgerBuilder(collect_scores)
+        free = self.backend.next_free_s()
         i = 0
-        swap_i = 0
-        while i < total or backlog:
-            if not backlog:
-                backlog.append(i)
+        while i < total or queued:
+            if not queued:
+                queue.push(i)
                 i += 1
-            free = self.backend.next_free_s()
-            if len(backlog) >= policy.max_batch_size:
+            if len(queued) >= batch_size:
                 # a full batch closes as soon as capacity frees (its
                 # fill arrival is necessarily in the past)
-                close = max(
-                    float(arrivals[backlog[policy.max_batch_size - 1]]),
-                    free)
+                close = max(arrivals[queued[batch_size - 1]], free)
             else:
-                close = max(
-                    float(arrivals[backlog[0]]) + policy.max_delay_s,
-                    free)
+                close = max(arrivals[queued[0]] + policy.max_delay_s,
+                            free)
             if i < total and arrivals[i] <= close:
                 # the next arrival lands before this batch dispatches:
                 # an admission event — the queue absorbs it while there
                 # is room, otherwise the overload policy picks a victim
-                now = float(arrivals[i])
-                if len(backlog) < policy.max_queue:
-                    backlog.append(i)
-                elif policy.overload == "reject":
-                    report.dropped.append(DropRecord(
-                        i, now, now, "reject",
-                        tenant=trace.tenant_of(i),
-                        priority=trace.priority_of(i)))
+                now = arrivals[i]
+                if len(queued) < policy.max_queue:
+                    queue.push(i)
+                elif not shedding:
+                    ledger.drop(i, now, REJECT)
                 else:
-                    victim_pos = self._shed_victim(trace, backlog, i)
-                    if victim_pos is None:
+                    victim = queue.shed_victim(i)
+                    if victim is None:
                         # the newcomer is strictly the lowest admission
                         # class present — it is turned away instead of
                         # evicting anyone more important
-                        report.dropped.append(DropRecord(
-                            i, now, now, "reject",
-                            tenant=trace.tenant_of(i),
-                            priority=trace.priority_of(i)))
+                        ledger.drop(i, now, REJECT)
                     else:
-                        victim = backlog.pop(victim_pos)
-                        report.dropped.append(DropRecord(
-                            victim, float(arrivals[victim]), now,
-                            "shed-oldest",
-                            tenant=trace.tenant_of(victim),
-                            priority=trace.priority_of(victim)))
-                        backlog.append(i)
+                        ledger.drop(victim, now, SHED)
+                        queue.push(i)
                 i += 1
                 continue
-            size = min(len(backlog), policy.max_batch_size)
-            batch_ids = backlog[:size]
-            del backlog[:size]
-            while swap_i < len(pending_swaps) \
-                    and pending_swaps[swap_i][0] <= close:
-                when, action = pending_swaps[swap_i]
-                action(when)
-                swap_i += 1
-            result = self._dispatch(
-                trace.features[batch_ids], float(close),
-                np.asarray(batch_ids, dtype=np.int64),
-            )
-            batch_id = len(report.batches)
-            report.batches.append(BatchRecord(
-                batch_id=batch_id, size=size, close_s=float(close),
-                start_s=result.start_s,
-                completion_s=result.completion_s,
-                worker=result.worker,
-                model_version=result.model_version,
-            ))
-            for request in batch_ids:
-                report.records.append(RequestRecord(
-                    request_id=request,
-                    arrival_s=float(arrivals[request]),
-                    batch_id=batch_id,
-                    start_s=result.start_s,
-                    completion_s=result.completion_s,
-                    worker=result.worker,
-                    model_version=result.model_version,
-                ))
-            if collect_scores:
-                scores.append(result.scores)
-        for when, action in pending_swaps[swap_i:]:
+            ids = np.asarray(queue.take(batch_size), dtype=np.int64)
+            swap_clock.fire_until(close)
+            result = self._dispatch(trace.features[ids], float(close), ids)
+            ledger.batch(ids, float(close), result)
+            free = self.backend.next_free_s()
+        swap_clock.fire_rest()
+        return ledger.build(trace)
+
+
+class _SwapClock:
+    """The run's hot-swap schedule, fired in time order."""
+
+    def __init__(self, swaps: Sequence[SwapEvent]) -> None:
+        self._pending = sorted(swaps, key=lambda s: s[0])
+        self._next = 0
+
+    def fire_until(self, close: float) -> None:
+        """Fire every swap due at or before ``close`` — just before the
+        batch closing then resolves its model."""
+        while self._next < len(self._pending) \
+                and self._pending[self._next][0] <= close:
+            when, action = self._pending[self._next]
             action(when)
-        if collect_scores:
-            report.scores = (np.concatenate(scores, axis=0) if scores
-                             else np.zeros((0, 0)))
-        return report
+            self._next += 1
+
+    def fire_rest(self) -> None:
+        """Late swaps (after the last close) still fire, so a scheduled
+        deploy is never silently skipped."""
+        for when, action in self._pending[self._next:]:
+            action(when)
+        self._next = len(self._pending)
+
+
+class _AdmissionQueue:
+    """The bounded batcher's queue: queued request ids in arrival order.
+
+    Ids are admitted in increasing order and leave from the front (a
+    dispatched batch) or as a shed victim, so ``ids`` stays sorted.
+    Given priorities, one FIFO per priority class mirrors ``ids``, so
+    :meth:`shed_victim` finds the oldest request of the lowest class in
+    O(classes) instead of scanning the queue.
+    """
+
+    def __init__(self, priorities: Optional[np.ndarray]) -> None:
+        self.ids: List[int] = []
+        self._priority = (None if priorities is None
+                          else priorities.tolist())
+        # ascending class order: the first non-empty FIFO holds the
+        # lowest class queued
+        self._fifos: Dict[int, Deque[int]] = (
+            {} if priorities is None
+            else {int(c): deque() for c in np.unique(priorities)})
+
+    def push(self, request: int) -> None:
+        self.ids.append(request)
+        if self._priority is not None:
+            self._fifos[self._priority[request]].append(request)
+
+    def take(self, size: int) -> List[int]:
+        """Remove and return the ``size`` oldest queued requests."""
+        batch = self.ids[:size]
+        del self.ids[:size]
+        if self._priority is not None:
+            last = batch[-1]
+            for fifo in self._fifos.values():
+                while fifo and fifo[0] <= last:
+                    fifo.popleft()
+        return batch
+
+    def shed_victim(self, newcomer: int) -> Optional[int]:
+        """Evict and return the request the shed policy drops to admit
+        ``newcomer``, or ``None`` when the newcomer itself must be
+        refused (the queue is then unchanged).
+
+        Unprioritized traces shed the queue head (plain drop-head).
+        With priorities, admission is class-aware: the victim is the
+        *oldest request of the lowest priority class queued* — so a
+        higher-priority request is never dropped while a lower-priority
+        one sits in the queue — and a newcomer below every queued class
+        is refused rather than admitted over anyone's head.
+        """
+        if self._priority is None:
+            return self.ids.pop(0)
+        for cls, fifo in self._fifos.items():
+            if fifo:
+                if self._priority[newcomer] < cls:
+                    return None
+                victim = fifo.popleft()
+                del self.ids[bisect.bisect_left(self.ids, victim)]
+                return victim
+        raise AssertionError("unreachable: shedding from an empty queue")

@@ -469,9 +469,9 @@ def audit_deploy(serving: ServingReport, decisions: Sequence[dict],
                  shadow: bool) -> dict:
     """Re-derive the deployment invariants from the serving ledger alone.
 
-    Consumes only the batch/request records and the decision log's
-    ``batch_seq`` anchors — none of the router's internal state — so a
-    lying controller would be caught:
+    Consumes only the ledger's batch/request columns and the decision
+    log's ``batch_seq`` anchors — none of the router's internal state —
+    so a lying controller would be caught:
 
     * ``single_version_per_request`` — every request id appears exactly
       once across served and dropped records (each served by the one
@@ -487,37 +487,33 @@ def audit_deploy(serving: ServingReport, decisions: Sequence[dict],
     by_kind = {d["kind"]: d for d in decisions}
     start_seq = by_kind.get("canary-start", {}).get("batch_seq")
     rollback_seq = by_kind.get("rollback", {}).get("batch_seq")
-    end_seq = (rollback_seq if rollback_seq is not None
-               else len(serving.batches))
+    num_batches = serving.batch_size.size
+    end_seq = rollback_seq if rollback_seq is not None else num_batches
 
-    request_ids = [r.request_id for r in serving.records] \
-        + [d.request_id for d in serving.dropped]
-    single_version = len(set(request_ids)) == len(request_ids)
+    request_ids = np.concatenate([serving.request_id, serving.drop_id])
+    single_version = np.unique(request_ids).size == request_ids.size
 
-    canary_batches = [b for b in serving.batches
-                      if b.model_version == canary_version]
-    no_before_start = all(
-        start_seq is not None and b.batch_id >= start_seq
-        for b in canary_batches
-    ) if canary_batches else True
-    no_after_rollback = (rollback_seq is None or all(
-        b.batch_id < rollback_seq for b in canary_batches))
+    # a batch's id is its index in the ledger's batch columns
+    canary = serving.model_version == canary_version
+    canary_ids = np.flatnonzero(canary)
+    no_before_start = (start_seq is not None and bool(
+        (canary_ids >= start_seq).all())) if canary_ids.size else True
+    no_after_rollback = (rollback_seq is None
+                         or bool((canary_ids < rollback_seq).all()))
 
     window_batches = 0
     canary_in_window = 0
     if start_seq is not None:
-        for b in serving.batches:
-            if start_seq <= b.batch_id < end_seq:
-                window_batches += 1
-                if b.model_version == canary_version:
-                    canary_in_window += 1
+        window = canary[start_seq:end_seq]
+        window_batches = int(window.size)
+        canary_in_window = int(window.sum())
 
     return {
         "single_version_per_request": single_version,
         "no_canary_before_start": no_before_start,
         "no_canary_after_rollback": no_after_rollback,
         "shadow_serves_incumbent_only": (not shadow
-                                         or not canary_batches),
+                                         or not canary_ids.size),
         "split": {
             "window_batches": window_batches,
             "canary_batches": canary_in_window,
@@ -766,8 +762,8 @@ class DeployController:
         self.serving_report = serving
 
         verdict = self.router.final_verdict()
-        makespan = (max(r.completion_s for r in serving.records)
-                    if serving.records else 0.0)
+        makespan = (float(serving.completion_s[serving.batch_id].max())
+                    if serving.request_id.size else 0.0)
         window = {
             "incumbent": self.monitor.snapshot(incumbent_version),
             "canary": self.monitor.snapshot(canary_version),
@@ -813,9 +809,8 @@ class DeployController:
             nbytes for kind, nbytes in wire.bytes_by_kind.items()
             if kind.startswith("deploy:")
         )
-        latencies = [r.latency_s for r in serving.records]
-        summary = percentile_summary(latencies)
-        conservation = (len(serving.records) + len(serving.dropped)
+        summary = percentile_summary(serving.latency_s())
+        conservation = (serving.request_id.size + serving.drop_id.size
                         == trace.num_requests)
         return {
             "schema": DEPLOY_SCHEMA,
@@ -851,7 +846,7 @@ class DeployController:
                 "arrivals": trace.num_requests,
                 "served": stats.count,
                 "dropped": stats.dropped,
-                "batches": len(serving.batches),
+                "batches": serving.batch_size.size,
                 "makespan_s": stats.makespan_s,
                 "p50_s": summary["p50_s"],
                 "p95_s": summary["p95_s"],

@@ -53,7 +53,8 @@ from ..config import ClusterConfig, NetworkModel, TrainConfig
 from ..cluster.faults import FaultInjector, FaultPlan
 from ..cluster.network import SimulatedNetwork
 from ..ledger import percentile_summary
-from .batcher import BatchPolicy, MicroBatcher, RequestTrace, ServingReport
+from .batcher import (SHED, BatchPolicy, MicroBatcher, RequestTrace,
+                      ServingReport)
 from .cache import PredictionCache
 from .registry import ModelRegistry
 from .replica import ReplicaSet
@@ -260,9 +261,9 @@ class Scenario:
         """A shorter replica of the scenario (smoke/quick modes): the
         window, its shape landmarks, and the hot-swap instant shrink by
         ``factor``; rates and fleet stay untouched."""
-        if factor <= 0.0:
-            raise ValueError(f"scale factor must be positive, "
-                             f"got {factor}")
+        if not 0.0 < factor < math.inf:
+            raise ValueError(f"scale factor must be positive and "
+                             f"finite, got {factor}")
         return dataclasses.replace(
             self,
             duration_s=self.duration_s * factor,
@@ -476,29 +477,40 @@ def audit_priority_admission(trace: RequestTrace,
     report.  (Requests arriving at exactly the drop instant are treated
     as not-yet-queued; arrivals are continuous draws, so exact ties do
     not occur in generated scenarios.)
+
+    A sweep line, O(classes x (n + sheds) log n): per priority class,
+    the arrivals and departures of its requests, sorted, count the
+    class's occupancy at every shed instant by ``searchsorted``.
     """
     if trace.priorities is None:
         return True
-    sheds = [d for d in report.dropped if d.reason == "shed-oldest"]
-    if not sheds:
+    shed = report.drop_reason == SHED
+    if not shed.any():
         return True
-    close_of = {b.batch_id: b.close_s for b in report.batches}
-    departure: Dict[int, float] = {
-        r.request_id: close_of[r.batch_id] for r in report.records
-    }
-    for d in report.dropped:
-        departure[d.request_id] = d.drop_s
-    ids = np.fromiter(departure, np.int64, len(departure))
-    arr = trace.arrivals[ids]
-    dep = np.fromiter((departure[int(r)] for r in ids), np.float64,
-                      ids.size)
-    pri = trace.priorities[ids]
-    for drop in sheds:
-        occupied = ((arr < drop.drop_s) & (dep > drop.drop_s)
-                    & (pri < drop.priority) & (ids != drop.request_id))
-        if occupied.any():
-            return False
-    return True
+    # departure of every ledgered request (NaN: never ledgered); a drop
+    # entry overrides a served one
+    departure = np.full(trace.num_requests, np.nan)
+    departure[report.request_id] = report.close_s[report.batch_id]
+    departure[report.drop_id] = report.drop_s
+    arrival, priority = trace.arrivals, trace.priorities
+    # only a request with arrival < departure ever occupies an instant,
+    # and for those "departed by t" implies "arrived before t"
+    occupies = arrival < departure
+    instant = report.drop_s[shed]
+    shed_class = report.drop_priority[shed]
+    below = np.zeros(instant.size, dtype=np.int64)
+    for cls in np.unique(priority[occupies]):
+        members = occupies & (priority == cls)
+        arrived = np.searchsorted(arrival[members], instant, side="left")
+        departed = np.searchsorted(np.sort(departure[members]), instant,
+                                   side="right")
+        below += np.where(cls < shed_class, arrived - departed, 0)
+    # the shed request never counts against its own drop
+    victim = report.drop_id[shed]
+    below -= ((priority[victim] < shed_class)
+              & (arrival[victim] < instant)
+              & (departure[victim] > instant))
+    return not bool((below > 0).any())
 
 
 # ---------------------------------------------------------------------------
@@ -624,16 +636,14 @@ class ScenarioRunner:
         the version that served it — the exactness conformance check
         that makes the prediction cache (and the whole dispatch path)
         trustworthy."""
-        if report.scores is None or not report.records:
+        if report.scores is None or not report.request_id.size:
             return True
-        ids = np.fromiter((r.request_id for r in report.records),
-                          np.int64, len(report.records))
-        versions = np.fromiter((r.model_version for r in report.records),
-                               np.int64, len(report.records))
+        versions = report.request_versions()
         for version in np.unique(versions):
             compiled = self.registry.get(int(version)).compiled
             mask = versions == version
-            direct = compiled.raw_scores(trace.features[ids[mask]])
+            direct = compiled.raw_scores(
+                trace.features[report.request_id[mask]])
             if not np.array_equal(report.scores[mask], direct):
                 return False
         return True
@@ -645,19 +655,15 @@ class ScenarioRunner:
         stats = report.latency_stats()
         arrivals_per_tenant = np.bincount(
             trace.tenants, minlength=len(s.tenants))
-        served_lat: Dict[int, List[float]] = {
-            i: [] for i in range(len(s.tenants))}
-        for record in report.records:
-            served_lat[trace.tenant_of(record.request_id)].append(
-                record.latency_s)
-        dropped_per_tenant = np.zeros(len(s.tenants), dtype=np.int64)
-        for drop in report.dropped:
-            dropped_per_tenant[drop.tenant] += 1
+        latency = report.latency_s()
+        served_tenant = trace.tenants[report.request_id]
+        dropped_per_tenant = np.bincount(report.drop_tenant,
+                                         minlength=len(s.tenants))
 
         tenants: Dict[str, dict] = {}
         total_violations = 0
         for index, tenant in enumerate(s.tenants):
-            lat = np.asarray(served_lat[index], dtype=np.float64)
+            lat = latency[served_tenant == index]
             offered = int(arrivals_per_tenant[index])
             dropped = int(dropped_per_tenant[index])
             violations = int((lat > tenant.slo_s).sum()) + dropped
@@ -685,13 +691,8 @@ class ScenarioRunner:
             nbytes for kind, nbytes in wire.bytes_by_kind.items()
             if kind.startswith("retry:")
         )
-        conservation = (len(report.records) + len(report.dropped)
+        conservation = (report.request_id.size + report.drop_id.size
                         == trace.num_requests)
-        single_version = all(
-            len({r.model_version for r in report.records
-                 if r.batch_id == b.batch_id}) <= 1
-            for b in report.batches
-        )
         return {
             "schema": SCENARIO_SCHEMA,
             "scenario": s.name,
@@ -703,7 +704,7 @@ class ScenarioRunner:
                 "served": stats.count,
                 "dropped": stats.dropped,
                 "drop_rate": stats.drop_rate,
-                "batches": len(report.batches),
+                "batches": report.batch_size.size,
                 "p50_s": stats.p50_s,
                 "p95_s": stats.p95_s,
                 "p99_s": stats.p99_s,
@@ -731,7 +732,8 @@ class ScenarioRunner:
                 "conservation_ok": conservation,
                 "priority_admission_ok":
                     audit_priority_admission(trace, report),
-                "single_version_batches": single_version,
+                "single_version_batches":
+                    report.single_version_batches(),
                 "scores_exact": self._scores_exact(trace, report),
             },
         }

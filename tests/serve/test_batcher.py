@@ -126,7 +126,7 @@ class TestBatchFormation:
         report = MicroBatcher(
             server(compiled), BatchPolicy(8, 0.001)
         ).run(trace, collect_scores=True)
-        assert report.records == [] and report.batches == []
+        assert report.records == () and report.batches == ()
         assert report.scores.size == 0
         assert report.versions_served() == []
 
@@ -158,9 +158,9 @@ class TestLedger:
                                         "throughput_rps"}
 
     def test_empty_stats(self):
-        from repro.serve import LatencyStats
+        from repro.serve import ServingReport
 
-        stats = LatencyStats.from_records([])
+        stats = ServingReport().latency_stats()
         assert stats.count == 0 and stats.p99_s == 0.0
 
     def test_collected_scores_match_direct_prediction(self, model,
@@ -283,7 +283,7 @@ class TestBoundedQueue:
                          policy).run(trace)
         b = MicroBatcher(server(compiled, per_batch=0.001),
                          bounded).run(trace)
-        assert b.dropped == []
+        assert b.dropped == ()
         assert [x.size for x in a.batches] == [x.size for x in b.batches]
         assert [x.close_s for x in a.batches] == \
             [x.close_s for x in b.batches]
@@ -297,7 +297,7 @@ class TestBoundedQueue:
             server(compiled), BatchPolicy(8, 0.001, max_queue=8,
                                           overload="shed-oldest"),
         ).run(trace)
-        assert report.dropped == []
+        assert report.dropped == ()
         assert report.latency_stats().drop_rate == 0.0
 
     def test_nan_arrival_rejected_up_front(self):

@@ -306,17 +306,16 @@ class TestLedgerAudit:
         serving = controller.serving_report
         rollback_seq = next(d["batch_seq"] for d in report["decisions"]
                             if d["kind"] == "rollback")
-        forged = next(b for b in serving.batches
-                      if b.model_version == 2)
+        # forge the last batch — dispatched after the rollback — as
+        # canary-served
+        assert serving.batch_size.size > rollback_seq
+        versions = serving.model_version.copy()
+        versions[-1] = 2
         import dataclasses as dc
-        serving.batches.append(
-            dc.replace(forged, batch_id=rollback_seq + 1))
-        try:
-            audit = audit_deploy(serving, report["decisions"], 1, 2,
-                                 shadow=False)
-            assert not audit["no_canary_after_rollback"]
-        finally:
-            serving.batches.pop()
+        forged = dc.replace(serving, model_version=versions)
+        audit = audit_deploy(forged, report["decisions"], 1, 2,
+                             shadow=False)
+        assert not audit["no_canary_after_rollback"]
 
     def test_split_rederived_from_ledger_alone(self, degraded):
         controller, report = degraded

@@ -17,8 +17,7 @@ import pytest
 from repro.ledger import (format_scenario_report, load_scenario_report,
                           save_scenario_report, scenario_report_bytes)
 from repro.serve import RequestTrace
-from repro.serve.batcher import (BatchRecord, DropRecord, RequestRecord,
-                                 ServingReport)
+from repro.serve.batcher import SHED, ServingReport
 from repro.serve.scenarios import (SCENARIOS, LoadShape, Scenario,
                                    ScenarioRunner, TenantSpec,
                                    audit_priority_admission, build_trace,
@@ -193,13 +192,13 @@ class TestAudit:
             arrivals=np.array([0.0, 0.5, 1.0]),
             priorities=np.array([2, 0, 1], dtype=np.int32),
         )
-        report = ServingReport()
-        report.dropped.append(DropRecord(0, 0.0, 1.0, "shed-oldest",
-                                         priority=2))
-        report.batches.append(BatchRecord(0, 2, 2.0, 2.0, 3.0, 0, 1))
-        for rid in (1, 2):
-            report.records.append(RequestRecord(rid, trace.arrivals[rid],
-                                                0, 2.0, 3.0, 0, 1))
+        report = ServingReport(
+            request_id=[1, 2], arrival_s=trace.arrivals[1:],
+            batch_id=[0, 0],
+            batch_size=[2], close_s=[2.0], start_s=[2.0],
+            completion_s=[3.0], worker=[0], model_version=[1],
+            drop_id=[0], drop_arrival_s=[0.0], drop_s=[1.0],
+            drop_reason=[SHED], drop_tenant=[0], drop_priority=[2])
         assert not audit_priority_admission(trace, report)
         # same ledger without priorities: nothing to audit
         bare = RequestTrace(features=np.zeros((3, 2)),
@@ -257,3 +256,39 @@ class TestCli:
         capsys.readouterr()
         written = {p.stem for p in out_dir.glob("*.json")}
         assert written == set(SCENARIOS)
+
+
+class TestCliErrors:
+    """Bad input ends in one ``repro: error:`` line and exit status 2,
+    never a traceback."""
+
+    @pytest.mark.parametrize("argv, contents, message", [
+        (["scenarios", "run", "heavy-tail-fleet"], None,
+         "unknown scenario 'heavy-tail-fleet'"),
+        (["scenarios", "run", "heavy-tail", "--scale", "-1"], None,
+         "scale factor must be positive"),
+        (["scenarios", "run", "steady", "--scale", "nan"], None,
+         "scale factor must be positive"),
+        (["scenarios", "run", "steady", "--shards", "-2"], None,
+         "--shards must be >= 1"),
+        (["scenarios", "report", "{path}"], "not json {",
+         "is not a JSON scenario report"),
+        (["scenarios", "report", "{path}"], "[1, 2]",
+         "is not a scenario report"),
+        (["scenarios", "report", "{path}"], None,
+         "No such file or directory"),
+    ])
+    def test_one_line_and_exit_2(self, argv, contents, message, tmp_path,
+                                 capsys):
+        from repro.cli import main
+
+        path = tmp_path / "report.json"
+        if contents is not None:
+            path.write_text(contents)
+        argv = [arg.replace("{path}", str(path)) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro: error: ")
+        assert message in lines[0]
+        assert captured.out == ""
