@@ -183,7 +183,7 @@ def bench_sharded(registry, quick: bool) -> dict:
     the deploy-byte crossover and the layout the cost model recommends.
     """
     from repro.config import NetworkModel
-    from repro.serve import ShardedReplicaSet, reduce_shard_scores
+    from repro.serve import reduce_shard_scores
     from repro.systems.costmodel import (price_serving_layouts,
                                          recommend_serving_layout,
                                          score_reduction_bytes_per_batch)
@@ -212,7 +212,7 @@ def bench_sharded(registry, quick: bool) -> dict:
                     [shard.compiled for shard in shards], trace.features)
                 exact = bool(np.array_equal(chained, direct))
                 all_exact &= exact
-                replicas = ShardedReplicaSet(
+                replicas = ReplicaSet(
                     registry, ClusterConfig(num_workers=workers),
                     num_shards=num_shards)
                 replicas.deploy(version)

@@ -42,7 +42,6 @@ Run ``python -m repro.cli <command> --help`` for per-command options.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
@@ -222,9 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "--scale 0.2, invariants enforced")
     scen_run.add_argument("--shards", type=int, default=0,
                           help="override every selected scenario to "
-                               "serve tree-sharded with S shard groups "
-                               "(workers round up to a multiple of S; "
-                               "disables the prediction cache)")
+                               "serve with S shard groups (1 replicates; "
+                               "workers round up to a multiple of S; "
+                               "S > 1 disables the prediction cache)")
     scen_run.add_argument("--report-out",
                           help="save the scenario report JSON here "
                                "(single scenario) or under this "
@@ -305,10 +304,19 @@ def cmd_datagen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    dataset = _load_training_data(args)
+    from .systems.plans import get_plan
+
+    adaptive = args.plan == "auto-adapt"
+    # resolve the plan and the dataset name before any work, so a typo
+    # fails fast and alone
+    try:
+        if not adaptive:
+            get_plan(args.plan or args.system)
+        dataset = _load_training_data(args)
+    except KeyError as exc:
+        return _usage_error(exc.args[0])
     num_classes = max(args.classes, dataset.num_classes)
     multiclass = dataset.task == "multiclass"
-    adaptive = args.plan == "auto-adapt"
     config = TrainConfig(
         num_trees=args.trees,
         num_layers=args.layers,
@@ -460,7 +468,7 @@ def cmd_serve_bench(args) -> int:
         args.features = min(args.features, 20)
         args.serve_workers = min(args.serve_workers, 2)
     if args.shards < 1:
-        raise SystemExit(f"--shards must be >= 1, got {args.shards}")
+        return _usage_error(f"--shards must be >= 1, got {args.shards}")
     if args.serve_workers % args.shards:
         args.serve_workers = (args.serve_workers // args.shards
                               + 1) * args.shards
@@ -535,20 +543,13 @@ def cmd_serve_bench(args) -> int:
                   f"({fast_s / max(quant_s, 1e-12):.2f}x vs compiled), "
                   f"exact={qexact}")
 
+    replicas = ReplicaSet(
+        registry, ClusterConfig(num_workers=args.serve_workers),
+        balancer=args.balancer, num_shards=args.shards,
+    )
     if args.shards > 1:
-        from .serve import ShardedReplicaSet
-
-        replicas = ShardedReplicaSet(
-            registry, ClusterConfig(num_workers=args.serve_workers),
-            num_shards=args.shards, balancer=args.balancer,
-        )
         print(f"tree-sharded fleet: {args.shards} shard groups x "
               f"{replicas.num_rows} replica rows")
-    else:
-        replicas = ReplicaSet(
-            registry, ClusterConfig(num_workers=args.serve_workers),
-            balancer=args.balancer,
-        )
     replicas.deploy()
     swaps = []
     if len(registry) > 1:
@@ -652,11 +653,11 @@ def cmd_advise(args) -> int:
         tag = "lossless" if lossless else "lossy, opt-in"
         print(f"  {codec}: {ratio:6.2f}x ({tag})")
     if args.adaptive:
-        _advise_adaptive(args, shape, rec)
+        return _advise_adaptive(args, shape, rec)
     return 0
 
 
-def _advise_adaptive(args, shape: WorkloadShape, rec) -> None:
+def _advise_adaptive(args, shape: WorkloadShape, rec) -> int:
     """The ``advise --adaptive`` table: prior vs calibrated plan costs.
 
     Constants come from a saved run report when ``--report`` names one,
@@ -672,9 +673,11 @@ def _advise_adaptive(args, shape: WorkloadShape, rec) -> None:
 
     network = NetworkModel(bandwidth_gbps=args.bandwidth_gbps)
     if args.report:
-        from .ledger import load_report
+        from .ledger import SCHEMA
 
-        report = load_report(args.report)
+        report, status = _read_report(args.report, SCHEMA)
+        if report is None:
+            return status
         if not report["plan_history"] or not report["num_trees"]:
             raise SystemExit(f"{args.report} records no trained trees")
         plan = get_plan(report["plan_history"][-1])
@@ -752,13 +755,29 @@ def _advise_adaptive(args, shape: WorkloadShape, rec) -> None:
         print(f"  {key:<12} {prior[key].total_seconds:11.4f}s "
               f"{calibrated[key].total_seconds:11.4f}s "
               f"{bill:14.4f}s{marker}")
+    return 0
 
 
 def cmd_ledger(args) -> int:
-    from .ledger import format_report, load_report
+    from .ledger import SCHEMA, format_report
 
-    print(format_report(load_report(args.report)))
+    report, status = _read_report(args.report, SCHEMA)
+    if report is None:
+        return status
+    print(format_report(report))
     return 0
+
+
+def _read_report(path: str, schema: str):
+    """``(report, 0)`` from :func:`ledger.load_report`, or
+    ``(None, 2)`` after a one-line usage error for a missing,
+    non-JSON or foreign-schema file."""
+    from .ledger import load_report
+
+    try:
+        return load_report(path, schema), 0
+    except (OSError, ValueError) as exc:
+        return None, _usage_error(str(exc))
 
 
 def _usage_error(message: str) -> int:
@@ -772,8 +791,7 @@ def cmd_scenarios(args) -> int:
     """``repro scenarios list|run|report``."""
     import os
 
-    from .ledger import (format_scenario_report, load_scenario_report,
-                         save_scenario_report)
+    from .ledger import SCENARIO_SCHEMA, format_scenario_report, save_report
     from .serve.scenarios import SCENARIOS, ScenarioRunner, get_scenario
 
     if args.scenario_command == "list":
@@ -787,13 +805,9 @@ def cmd_scenarios(args) -> int:
         return 0
 
     if args.scenario_command == "report":
-        try:
-            report = load_scenario_report(args.report)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            return _usage_error(f"{args.report} is not a JSON scenario "
-                                f"report ({exc})")
-        except (OSError, ValueError) as exc:
-            return _usage_error(str(exc))
+        report, status = _read_report(args.report, SCENARIO_SCHEMA)
+        if report is None:
+            return status
         print(format_scenario_report(report))
         return 0
 
@@ -811,17 +825,16 @@ def cmd_scenarios(args) -> int:
         return _usage_error(str(exc))
     failed = False
     for position, (name, scenario) in enumerate(zip(names, selected)):
-        if args.shards > 1:
+        if args.shards:
             import dataclasses
 
-            workers = scenario.num_workers
-            if workers % args.shards:
-                workers = (workers // args.shards + 1) * args.shards
-            # the cache holds full-model scores; sharded rows only ever
-            # compute partials, so the override drops it
+            # workers round up to whole rows; the cache holds
+            # full-model scores, which a sharded row never computes
+            workers = -(-scenario.num_workers // args.shards) * args.shards
             scenario = dataclasses.replace(
                 scenario, num_shards=args.shards, num_workers=workers,
-                cache_capacity=0)
+                cache_capacity=(scenario.cache_capacity
+                                if args.shards == 1 else 0))
         report = ScenarioRunner(scenario).run()
         print(format_scenario_report(report))
         if position + 1 < len(names):
@@ -834,7 +847,7 @@ def cmd_scenarios(args) -> int:
             else:
                 os.makedirs(args.report_out, exist_ok=True)
                 path = os.path.join(args.report_out, f"{name}.json")
-            save_scenario_report(report, path)
+            save_report(report, path)
     if failed:
         print("FAIL: a scenario violated a ledger invariant "
               "(see above)")
@@ -844,13 +857,15 @@ def cmd_scenarios(args) -> int:
 
 def cmd_deploy(args) -> int:
     """``repro deploy`` — one closed-loop canary deployment episode."""
-    from .ledger import (format_deploy_report, load_deploy_report,
-                         save_deploy_report)
+    from .ledger import DEPLOY_SCHEMA, format_deploy_report, save_report
     from .serve.deploy import CanaryPolicy, DeployController
     from .serve.scenarios import get_scenario
 
     if args.show:
-        print(format_deploy_report(load_deploy_report(args.show)))
+        report, status = _read_report(args.show, DEPLOY_SCHEMA)
+        if report is None:
+            return status
+        print(format_deploy_report(report))
         return 0
 
     if args.smoke:
@@ -883,7 +898,7 @@ def cmd_deploy(args) -> int:
                               canary_model=args.canary).run()
     print(format_deploy_report(report))
     if args.report_out:
-        save_deploy_report(report, args.report_out)
+        save_report(report, args.report_out)
     if not all(report["invariants"].values()):
         print("FAIL: the episode violated a ledger invariant "
               "(see above)")

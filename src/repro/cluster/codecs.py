@@ -265,7 +265,7 @@ class LowPrecisionHistogramCodec(HistogramCodec):
 class ScoreCodec:
     """Encode one partial raw-score vector ``(rows, gradient_dim)``.
 
-    Sharded serving (:mod:`repro.serve.sharded`) carries a running score
+    Sharded serving (:mod:`repro.serve.replica`) carries a running score
     accumulator between shard groups; this codec is what that carry
     ships as.  Lossy variants quantize the carried accumulator at every
     hop, so the precision cost of shipping narrow partials — the serving

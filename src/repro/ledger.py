@@ -1,4 +1,4 @@
-"""Run-report persistence and pretty-printing (``repro ledger``).
+"""Report persistence and pretty-printing (``repro ledger``).
 
 A run report is the JSON-serializable record of one distributed
 training run: the per-kind wire ledger (including the ``migrate:``,
@@ -7,6 +7,11 @@ compute breakdown, peak memory, and — for adaptive sessions — the full
 migration and decision trail.  ``repro train --report-out`` saves one;
 ``repro ledger`` renders it; ``repro advise --adaptive --report``
 recalibrates the cost model against it.
+
+Scenario reports (``repro scenarios``) and deployment decision logs
+(``repro deploy``) share the same plumbing: one canonical byte encoding
+(:func:`report_bytes`), one writer (:func:`save_report`) and one
+schema-checked reader (:func:`load_report`).
 """
 
 from __future__ import annotations
@@ -73,20 +78,45 @@ def run_report(result, system: str = "", dataset: str = "",
     }
 
 
+#: human name of every report schema, for error messages
+_REPORT_KINDS = {
+    SCHEMA: "run report",
+    SCENARIO_SCHEMA: "scenario report",
+    DEPLOY_SCHEMA: "deploy report",
+}
+
+
 def save_report(report: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_report(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
+    """Write any report's canonical bytes (:func:`report_bytes`) to
+    ``path``; rejects a dict without a known ``schema`` tag."""
     schema = report.get("schema")
-    if schema != SCHEMA:
+    if schema not in _REPORT_KINDS:
         raise ValueError(
-            f"{path} is not a run report (schema {schema!r}, "
-            f"expected {SCHEMA!r})"
+            f"not a report (schema {schema!r}, expected one of "
+            f"{sorted(_REPORT_KINDS)})"
+        )
+    with open(path, "wb") as fh:
+        fh.write(report_bytes(report))
+
+
+def load_report(path: str, schema: str = SCHEMA) -> dict:
+    """Read a saved report, insisting on ``schema``.
+
+    Unreadable text, JSON that is not an object and a foreign schema
+    tag all raise :class:`ValueError` naming ``path``; a missing file
+    raises :class:`OSError`.
+    """
+    kind = _REPORT_KINDS[schema]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            report = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path} is not a JSON {kind} ({exc})") from None
+    found = report.get("schema") if isinstance(report, dict) else None
+    if found != schema:
+        raise ValueError(
+            f"{path} is not a {kind} (schema {found!r}, "
+            f"expected {schema!r})"
         )
     return report
 
@@ -117,7 +147,7 @@ def report_bytes(report: dict) -> bytes:
     """The canonical byte encoding of any report dict.
 
     Sorted keys, two-space indent, trailing newline — the exact bytes
-    the save functions write and the determinism conformance tests
+    :func:`save_report` writes and the determinism conformance tests
     compare, so "byte-identical reports" means what it says.
     """
     return (json.dumps(report, indent=2, sort_keys=True) + "\n").encode()
@@ -126,28 +156,6 @@ def report_bytes(report: dict) -> bytes:
 def scenario_report_bytes(report: dict) -> bytes:
     """The canonical byte encoding of a scenario report."""
     return report_bytes(report)
-
-
-def save_scenario_report(report: dict, path: str) -> None:
-    if report.get("schema") != SCENARIO_SCHEMA:
-        raise ValueError(
-            f"not a scenario report (schema {report.get('schema')!r}, "
-            f"expected {SCENARIO_SCHEMA!r})"
-        )
-    with open(path, "wb") as fh:
-        fh.write(scenario_report_bytes(report))
-
-
-def load_scenario_report(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
-    schema = report.get("schema") if isinstance(report, dict) else None
-    if schema != SCENARIO_SCHEMA:
-        raise ValueError(
-            f"{path} is not a scenario report (schema {schema!r}, "
-            f"expected {SCENARIO_SCHEMA!r})"
-        )
-    return report
 
 
 def format_scenario_report(report: dict) -> str:
@@ -209,28 +217,6 @@ def format_scenario_report(report: dict) -> str:
                     for k, v in sorted(report["invariants"].items()))
     )
     return "\n".join(lines)
-
-
-def save_deploy_report(report: dict, path: str) -> None:
-    if report.get("schema") != DEPLOY_SCHEMA:
-        raise ValueError(
-            f"not a deploy report (schema {report.get('schema')!r}, "
-            f"expected {DEPLOY_SCHEMA!r})"
-        )
-    with open(path, "wb") as fh:
-        fh.write(report_bytes(report))
-
-
-def load_deploy_report(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
-    schema = report.get("schema")
-    if schema != DEPLOY_SCHEMA:
-        raise ValueError(
-            f"{path} is not a deploy report (schema {schema!r}, "
-            f"expected {DEPLOY_SCHEMA!r})"
-        )
-    return report
 
 
 def _fmt_metric(value) -> str:

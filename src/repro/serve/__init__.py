@@ -15,15 +15,16 @@ package turns them into production-shaped inference:
   simulated clock with a columnar request/batch/drop ledger;
 - :mod:`~repro.serve.registry` — versioned model registry with payload
   checksums, atomic hot-swap, and rollback;
-- :mod:`~repro.serve.replica` — replicated serving over the simulated
-  cluster with ``deploy:model`` byte accounting and load balancing;
-- :mod:`~repro.serve.sharded` — tree-sharded (vertically partitioned)
-  serving: the ensemble splits into ``S`` tree-range shards
-  (:func:`shard_ensemble`), each replica row holds one worker per shard
-  group, per-shard canonical payloads deploy under ``deploy:shard``, and
-  partial scores reduce through the comm collectives
-  (``serve:partial``/``serve:reduce``) with an ordered carry-in fold
-  that keeps sharded scores bit-identical to the full predictor;
+- :mod:`~repro.serve.replica` — the serving fleet: an ``R x S`` grid
+  of simulated workers with load balancing and canary row pools.
+  ``num_shards=1`` (the default) replicates the whole model to every
+  worker under ``deploy:model``; ``num_shards=S > 1`` splits the
+  ensemble into ``S`` tree-range shards (:func:`shard_ensemble`), each
+  replica row holds one worker per shard, per-shard canonical payloads
+  deploy under ``deploy:shard``, and partial scores reduce through the
+  comm collectives (``serve:partial``/``serve:reduce``) with an ordered
+  carry-in fold that keeps sharded scores bit-identical to the full
+  predictor;
 - :mod:`~repro.serve.cache` — opt-in exact-hit
   :class:`PredictionCache` keyed on quantized bin ids, with an LRU
   bound, version invalidation and a full hit/miss/eviction ledger;
@@ -55,9 +56,8 @@ from .deploy import (CANARY_KIND, DECISION_KIND, ROLLBACK_KIND,
                      audit_deploy, run_deploy)
 from .registry import ModelRegistry, ModelShard, ModelVersion, \
     shard_payload
-from .replica import DEPLOY_KIND, ReplicaSet
-from .sharded import (PARTIAL_KIND, REDUCE_KIND, SHARD_DEPLOY_KIND,
-                      ShardedReplicaSet, reduce_shard_scores)
+from .replica import (DEPLOY_KIND, PARTIAL_KIND, REDUCE_KIND,
+                      SHARD_DEPLOY_KIND, ReplicaSet, reduce_shard_scores)
 from .scenarios import (SCENARIO_SCHEMA, SCENARIOS, LabelStream,
                         LoadShape, Scenario, ScenarioRunner, TenantSpec,
                         audit_priority_admission, build_trace,
@@ -101,7 +101,6 @@ __all__ = [
     "Scenario",
     "ScenarioRunner",
     "ServingReport",
-    "ShardedReplicaSet",
     "TenantSpec",
     "audit_deploy",
     "audit_priority_admission",

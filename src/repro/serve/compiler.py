@@ -252,7 +252,7 @@ class CompiledEnsemble:
         Performs, per element, the same float64 additions in the same
         order as :meth:`raw_scores` — one ``+=`` of the gathered scaled
         leaf row per tree, in tree order.  This is the carry-in half of
-        the sharded score reduction (:mod:`repro.serve.sharded`): folding
+        the sharded score reduction (:mod:`repro.serve.replica`): folding
         shard ``j``'s trees into the running sum carried from shards
         ``0..j-1`` reproduces the monolithic predictor's summation order
         exactly, which is what makes tree-sharded serving bit-identical
@@ -471,7 +471,7 @@ def shard_ensemble(compiled: CompiledEnsemble,
 
     The shards cover every tree exactly once, in order; reducing their
     scores with the ordered carry-in fold
-    (:func:`repro.serve.sharded.reduce_shard_scores`) is bit-identical
+    (:func:`repro.serve.replica.reduce_shard_scores`) is bit-identical
     to ``compiled.raw_scores`` on any batch.
     """
     return [slice_trees(compiled, a, b)

@@ -296,9 +296,10 @@ class DeployDecision:
 class CanaryRouter:
     """MicroBatcher backend that splits traffic between two versions.
 
-    Wraps a :class:`~repro.serve.replica.ReplicaSet` whose fleet is
-    partitioned into an incumbent pool and a canary pool (the
-    highest-numbered ``canary_workers`` ids).  Each dispatched batch
+    Wraps a :class:`~repro.serve.replica.ReplicaSet` whose replica rows
+    are partitioned into an incumbent pool and a canary pool (the
+    highest-numbered ``canary_workers`` rows; a row is one worker when
+    the fleet is unsharded).  Each dispatched batch
     routes to exactly one pool — a seeded Bernoulli draw per batch once
     the canary is live — so the mixed-version invariant (every request
     served by exactly one version) holds by construction and is
@@ -325,10 +326,11 @@ class CanaryRouter:
                  canary_compiled=None,
                  on_rollback=None) -> None:
         k = canary_policy.canary_workers
-        if k >= replicas.num_workers:
+        rows = replicas.num_rows
+        if k >= rows:
             raise ValueError(
                 f"canary pool of {k} worker(s) must leave at least one "
-                f"incumbent worker (fleet has {replicas.num_workers})"
+                f"incumbent worker (fleet has {rows} rows)"
             )
         self.replicas = replicas
         self.monitor = monitor
@@ -341,9 +343,8 @@ class CanaryRouter:
         #: the router never touches the registry on the hot path)
         self.canary_compiled = canary_compiled
         self.on_rollback = on_rollback
-        self.incumbent_pool = list(range(replicas.num_workers - k))
-        self.canary_pool = list(range(replicas.num_workers - k,
-                                      replicas.num_workers))
+        self.incumbent_pool = list(range(rows - k))
+        self.canary_pool = list(range(rows - k, rows))
         self._rng = np.random.default_rng(canary_policy.seed)
         self._heap: List[Tuple[float, int, int, float]] = []
         self.canary_live = False

@@ -56,7 +56,7 @@ class ModelShard:
     """One tree-range shard of a published version.
 
     The deployable unit of tree-sharded serving
-    (:mod:`repro.serve.sharded`): shard ``shard_index`` of ``num_shards``
+    (:mod:`repro.serve.replica`): shard ``shard_index`` of ``num_shards``
     holds trees ``start_tree..stop_tree`` of ``version``.  ``payload``
     is the canonical serialize-format slice, independently checksummed,
     and ``nbytes`` its canonical encoding size — the wire cost of

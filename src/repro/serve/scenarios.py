@@ -36,8 +36,8 @@ size, concurrency, model shape) across the traffic regimes ``steady``,
 ``diurnal``, ``flash-crowd``, ``heavy-tail`` (multi-tenant Pareto rates
 with priority admission), and ``hot-swap-under-fire``, plus
 ``sharded-steady`` — the steady baseline served by a tree-sharded fleet
-(:class:`~repro.serve.sharded.ShardedReplicaSet`) whose scores must stay
-bit-identical to replicated serving.
+(a :class:`~repro.serve.replica.ReplicaSet` with ``num_shards=2``)
+whose scores must stay bit-identical to replicated serving.
 """
 
 from __future__ import annotations
@@ -198,9 +198,8 @@ class Scenario:
     overload: str = "shed-oldest"
     num_workers: int = 2
     #: tree-shard groups of the fleet: 1 replicates the full model to
-    #: every worker (a ReplicaSet); > 1 serves through a
-    #: ShardedReplicaSet of ``num_workers / num_shards`` replica rows,
-    #: so ``num_workers`` must divide evenly
+    #: every worker; > 1 splits it across ``num_shards`` workers per
+    #: replica row, so ``num_workers`` must divide evenly
     num_shards: int = 1
     balancer: str = "round-robin"
     service_base_s: float = 0.002
@@ -600,24 +599,13 @@ class ScenarioRunner:
             # would let a rolled-back version's entries linger until
             # the next lookup
             self.registry.attach_cache(cache)
-        if s.num_shards > 1:
-            from .sharded import ShardedReplicaSet
-            replicas = ShardedReplicaSet(
-                self.registry, ClusterConfig(num_workers=s.num_workers),
-                num_shards=s.num_shards,
-                network=network, balancer=s.balancer,
-                service_model=lambda k: s.service_base_s
-                + s.service_per_row_s * k,
-            )
-        else:
-            replicas = ReplicaSet(
-                self.registry,
-                ClusterConfig(num_workers=s.num_workers),
-                network=network, balancer=s.balancer,
-                service_model=lambda k: s.service_base_s
-                + s.service_per_row_s * k,
-                cache=cache,
-            )
+        replicas = ReplicaSet(
+            self.registry, ClusterConfig(num_workers=s.num_workers),
+            network=network, balancer=s.balancer,
+            service_model=lambda k: s.service_base_s
+            + s.service_per_row_s * k,
+            cache=cache, num_shards=s.num_shards,
+        )
         self.replicas = replicas
         replicas.deploy(1)
         swaps = []

@@ -185,24 +185,11 @@ def get_plan(key: str) -> ExecutionPlan:
 # Classic class-name aliases over the registry entries
 # ---------------------------------------------------------------------------
 #
-# These lived in per-quadrant modules (systems/qd1.py, qd2.py, qd3.py,
-# vero.py, feature_parallel.py) when each quadrant was a real subclass;
-# since the ExecutionPlan refactor they are one-line wrappers, so they
-# live here with the registry — the single source of plan truth.  The
-# old module paths remain as deprecation shims.
+# These lived in per-quadrant modules when each quadrant was a real
+# subclass; since the ExecutionPlan refactor they are one-line wrappers,
+# so they live here with the registry — the single source of plan truth.
 
 from .executor import PlanExecutor  # noqa: E402 — needs no plan symbols
-
-
-def _deprecated_alias_module(name: str) -> None:
-    """The deprecation shim shared by the folded per-quadrant modules."""
-    import warnings
-
-    warnings.warn(
-        f"{name} is deprecated; import the alias classes from "
-        "repro.systems (they live in repro.systems.plans now)",
-        DeprecationWarning, stacklevel=3,
-    )
 
 
 class XGBoostStyle(PlanExecutor):

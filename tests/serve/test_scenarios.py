@@ -8,14 +8,15 @@ a golden fixture exactly like the PR 4 golden model.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.ledger import (format_scenario_report, load_scenario_report,
-                          save_scenario_report, scenario_report_bytes)
+from repro.ledger import (SCENARIO_SCHEMA, format_scenario_report,
+                          load_report, save_report, scenario_report_bytes)
 from repro.serve import RequestTrace
 from repro.serve.batcher import SHED, ServingReport
 from repro.serve.scenarios import (SCENARIOS, LoadShape, Scenario,
@@ -136,7 +137,7 @@ class TestDeterminism:
     def test_golden_fixture_byte_for_byte(self, flash_report):
         assert GOLDEN.exists(), (
             "golden fixture missing — regenerate with "
-            "save_scenario_report(ScenarioRunner(get_scenario("
+            "save_report(ScenarioRunner(get_scenario("
             "'flash-crowd')).run(), ...)"
         )
         assert scenario_report_bytes(flash_report) == GOLDEN.read_bytes()
@@ -209,17 +210,17 @@ class TestAudit:
 class TestLedgerIO:
     def test_save_load_round_trip(self, flash_report, tmp_path):
         path = tmp_path / "report.json"
-        save_scenario_report(flash_report, str(path))
-        assert load_scenario_report(str(path)) == flash_report
+        save_report(flash_report, str(path))
+        assert load_report(str(path), SCENARIO_SCHEMA) == flash_report
         assert path.read_bytes() == scenario_report_bytes(flash_report)
 
     def test_schema_enforced(self, tmp_path):
-        with pytest.raises(ValueError, match="not a scenario report"):
-            save_scenario_report({"schema": "wrong"}, "/dev/null")
+        with pytest.raises(ValueError, match="not a report"):
+            save_report({"schema": "wrong"}, "/dev/null")
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": "repro-run-report/v1"}))
         with pytest.raises(ValueError, match="not a scenario report"):
-            load_scenario_report(str(path))
+            load_report(str(path), SCENARIO_SCHEMA)
 
     def test_format_mentions_every_tenant(self, flash_report):
         text = format_scenario_report(flash_report)
@@ -240,7 +241,7 @@ class TestCli:
         path = tmp_path / "steady.json"
         assert main(["scenarios", "run", "steady", "--scale", "0.1",
                      "--report-out", str(path)]) == 0
-        report = load_scenario_report(str(path))
+        report = load_report(str(path), SCENARIO_SCHEMA)
         assert report["scenario"] == "steady"
         assert all(report["invariants"].values())
 
@@ -256,6 +257,24 @@ class TestCli:
         capsys.readouterr()
         written = {p.stem for p in out_dir.glob("*.json")}
         assert written == set(SCENARIOS)
+
+
+def assert_usage_error(argv, contents, message, tmp_path, capsys):
+    """Run the CLI on ``argv`` (``{path}`` -> a file holding
+    ``contents``, or a missing file when ``None``) and expect one
+    ``repro: error:`` line containing ``message`` and exit status 2."""
+    from repro.cli import main
+
+    path = tmp_path / "report.json"
+    if contents is not None:
+        path.write_text(contents)
+    argv = [arg.replace("{path}", str(path)) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("repro: error: ")
+    assert message in lines[0]
+    assert captured.out == ""
 
 
 class TestCliErrors:
@@ -280,15 +299,56 @@ class TestCliErrors:
     ])
     def test_one_line_and_exit_2(self, argv, contents, message, tmp_path,
                                  capsys):
-        from repro.cli import main
+        assert_usage_error(argv, contents, message, tmp_path, capsys)
 
-        path = tmp_path / "report.json"
-        if contents is not None:
-            path.write_text(contents)
-        argv = [arg.replace("{path}", str(path)) for arg in argv]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("repro: error: ")
-        assert message in lines[0]
-        assert captured.out == ""
+    @pytest.mark.parametrize("argv, contents, message", [
+        (["train", "--catalog", "nope"], None,
+         "unknown dataset 'nope'"),
+        (["train", "--catalog", "higgs", "--plan", "nope"], None,
+         "unknown plan 'nope'"),
+        (["ledger", "{path}"], "not json {", "is not a JSON run report"),
+        (["ledger", "{path}"], "[1, 2]", "is not a run report"),
+        (["ledger", "{path}"], None, "No such file or directory"),
+        (["deploy", "--show", "{path}"], "not json {",
+         "is not a JSON deploy report"),
+        (["deploy", "--show", "{path}"], "[1, 2]",
+         "is not a deploy report"),
+        (["deploy", "--show", "{path}"], None,
+         "No such file or directory"),
+    ])
+    def test_other_commands_one_line_and_exit_2(self, argv, contents,
+                                                message, tmp_path,
+                                                capsys):
+        assert_usage_error(argv, contents, message, tmp_path, capsys)
+
+
+#: sha256 of every shipped scenario's ``scenario-report/v1`` bytes at
+#: scale 0.3 — any change to trace generation, admission, dispatch,
+#: scoring or report assembly that moves a single byte shows up here
+REPORT_SHA256_AT_0_3 = {
+    "steady":
+        "82e87a39a23ea5d3d55fdc9d05e5e956180bfef575d93bfda978b3d531403aa4",
+    "diurnal":
+        "887f53905e73087a849b2e8ed3268446215173e722a7c9a2a4a0c4369cdc6c31",
+    "flash-crowd":
+        "5005bca892ed3318f63ee130fa61d0cafe567b77b2bccd0dd229556841801dfa",
+    "heavy-tail":
+        "893697db170eb304e290f5185cbafbaa8d3751f0cc5ece4ff2d6095e7112eb2d",
+    "hot-swap-under-fire":
+        "61bab32d674cc5f2cde56699eaa1a0c860375ad65d8996e6124725ea025f24c9",
+    "sharded-steady":
+        "3e6124b82e64c4eaaa1b3bb849d68d1a310067828001d39f8f8e899e7b414d5b",
+    "canary-under-fire":
+        "1bc9e0b8f7b3a7b47471265b3d641e9eab212833de8214c1e3e00be68c2210d1",
+}
+
+
+class TestReportDigests:
+    def test_every_shipped_scenario_is_pinned(self):
+        assert set(REPORT_SHA256_AT_0_3) == set(SCENARIOS)
+
+    @pytest.mark.parametrize("name", sorted(REPORT_SHA256_AT_0_3))
+    def test_report_sha256_at_scale_0_3(self, name):
+        report = ScenarioRunner(get_scenario(name, scale=0.3)).run()
+        digest = hashlib.sha256(scenario_report_bytes(report)).hexdigest()
+        assert digest == REPORT_SHA256_AT_0_3[name]

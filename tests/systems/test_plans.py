@@ -22,7 +22,9 @@ from repro import (ClusterConfig, GBDT, TrainConfig, get_plan,
 from repro.bench.harness import run_point
 from repro.config import NetworkModel
 from repro.data.dataset import bin_dataset
-from repro.systems import PLANS, PlanExecutor
+from repro.systems import (PLANS, DimBoostStyle, LightGBMFeatureParallel,
+                           LightGBMStyle, PlanExecutor, Vero, XGBoostStyle,
+                           YggdrasilStyle)
 from repro.systems.advisor import recommend
 from repro.systems.costmodel import (WorkloadShape,
                                      horizontal_comm_bytes_per_tree,
@@ -293,3 +295,32 @@ class TestLateOverrides:
         off.use_subtraction = False
         assert ensemble_signature(on.fit(binned).ensemble) == \
             ensemble_signature(off.fit(binned).ensemble)
+
+
+class TestAliasClasses:
+    """The classic class names build their registry plans."""
+
+    CONFIG = TrainConfig(num_trees=1, num_layers=3, num_candidates=4)
+    CLUSTER = ClusterConfig(num_workers=2)
+
+    @pytest.mark.parametrize("cls,plan_key", [
+        (XGBoostStyle, "qd1"),
+        (LightGBMStyle, "qd2"),
+        (DimBoostStyle, "qd2-ps"),
+        (Vero, "vero"),
+        (LightGBMFeatureParallel, "qd2-fp"),
+    ])
+    def test_alias_builds_its_registry_plan(self, cls, plan_key):
+        system = cls(self.CONFIG, self.CLUSTER)
+        assert system.plan.key == plan_key
+
+    def test_yggdrasil_index_mode_selects_the_plan(self):
+        config, cluster = self.CONFIG, self.CLUSTER
+        assert YggdrasilStyle(config, cluster).plan.key == "qd3"
+        hybrid = YggdrasilStyle(config, cluster, index_mode="hybrid")
+        assert hybrid.index_mode == "hybrid"
+        pure = YggdrasilStyle(config, cluster, index_mode="columnwise")
+        assert pure.plan.key == "qd3-pure"
+        assert pure.index_mode == "columnwise"
+        with pytest.raises(ValueError, match="index_mode"):
+            YggdrasilStyle(config, cluster, index_mode="bogus")
