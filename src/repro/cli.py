@@ -427,8 +427,11 @@ def cmd_predict(args) -> int:
     from .core.loss import make_loss
     from .serve import compile_ensemble
 
-    ensemble = load_ensemble(args.model)
-    dataset = read_libsvm(args.data, task="regression")
+    try:
+        ensemble = load_ensemble(args.model)
+        dataset = read_libsvm(args.data, task="regression")
+    except (OSError, ValueError) as exc:
+        return _usage_error(str(exc))
     # the model file carries its own objective metadata; fall back on
     # the gradient dimension for pre-metadata model files
     objective = ensemble.objective or (
@@ -475,8 +478,12 @@ def cmd_serve_bench(args) -> int:
 
     registry = ModelRegistry()
     if args.model:
-        entry = registry.publish_file(args.model)
-        ensembles = {entry.version: load_ensemble(args.model)}
+        try:
+            ensemble = load_ensemble(args.model)
+            entry = registry.publish_file(args.model)
+        except (OSError, ValueError) as exc:
+            return _usage_error(str(exc))
+        ensembles = {entry.version: ensemble}
     else:
         config = TrainConfig(
             num_trees=args.trees, num_layers=args.layers,

@@ -87,7 +87,15 @@ def layer_placements_colstore(
     splits: Dict[int, SplitInfo],
     feature_offset: int = 0,
 ) -> Dict[int, np.ndarray]:
-    """Column-store variant: slice the split feature's column directly."""
+    """Column-store variant: look each node row up in the split column.
+
+    Rows ascend within every column (as :meth:`CSRMatrix.to_csc` builds
+    them), so one ``searchsorted`` of the node's rows into the column
+    finds each row's entry or its absence (default direction) — node
+    splitting costs ``O(rows_on_split_nodes * log nnz)`` per layer, the
+    same bound as the row-store variant, however many split nodes share
+    a column.
+    """
     placements: Dict[int, np.ndarray] = {}
     for node, split in splits.items():
         local_fid = split.feature - feature_offset
@@ -96,10 +104,13 @@ def layer_placements_colstore(
         node_rows = index.rows_of(node)
         go_left = np.full(node_rows.size, split.default_left, dtype=bool)
         col_rows, col_bins = shard.col(local_fid)
-        pos = np.searchsorted(node_rows, col_rows)
-        pos = np.minimum(pos, max(node_rows.size - 1, 0))
-        if node_rows.size:
-            present = node_rows[pos] == col_rows
-            go_left[pos[present]] = col_bins[present] <= split.bin
+        if node_rows.size and col_rows.size:
+            # same-dtype needles: a mixed-dtype search would copy the
+            # whole column to the wider type first
+            pos = np.searchsorted(col_rows,
+                                  node_rows.astype(col_rows.dtype))
+            pos = np.minimum(pos, col_rows.size - 1)
+            present = col_rows[pos] == node_rows
+            go_left[present] = col_bins[pos[present]] <= split.bin
         placements[node] = go_left
     return placements

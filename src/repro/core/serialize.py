@@ -102,7 +102,12 @@ def load_ensemble(path: Union[str, Path]) -> TreeEnsemble:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not a valid model file") from exc
-    return ensemble_from_dict(payload)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} is not a valid model file")
+    try:
+        return ensemble_from_dict(payload)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path} is not a valid model file") from exc
 
 
 def _tree_to_dict(tree: Tree) -> dict:

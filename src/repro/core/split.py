@@ -89,42 +89,47 @@ def find_best_split(
 
     grad = hist.grad_view()          # (D, q, C)
     hess = hist.hess_view()
-    grad_prefix = np.cumsum(grad, axis=1)
-    hess_prefix = np.cumsum(hess, axis=1)
-    present_grad = grad_prefix[:, -1:, :]   # (D, 1, C)
-    present_hess = hess_prefix[:, -1:, :]
-    missing_grad = grad_total - present_grad
-    missing_hess = hess_total - present_hess
-
     parent_score = _score(grad_total, hess_total, reg_lambda)
+    scalar = hist.gradient_dim == 1
+    if scalar:
+        # a sum over a length-1 axis returns its element (bar the sign
+        # of a zero score, which only a masked negative-hessian child
+        # yields), so scalar gradients drop the axis and its reductions
+        grad, hess = grad[..., 0], hess[..., 0]
+        grad_total, hess_total = grad_total[0], hess_total[0]
 
-    # Option 0 — missing goes right: left = prefix.
-    gl_right = grad_prefix
-    hl_right = hess_prefix
-    # Option 1 — missing goes left: left = prefix + missing bucket.
-    gl_left = grad_prefix + missing_grad
-    hl_left = hess_prefix + missing_hess
+    def sum_c(x: np.ndarray) -> np.ndarray:
+        return x if scalar else x.sum(axis=-1)
 
-    gains = np.empty((2, hist.num_features, hist.num_bins), dtype=np.float64)
-    for option, (gl, hl) in enumerate(
-        ((gl_right, hl_right), (gl_left, hl_left))
-    ):
-        gr = grad_total - gl
-        hr = hess_total - hl
-        gains[option] = 0.5 * (
-            _score(gl, hl, reg_lambda) + _score(gr, hr, reg_lambda)
-            - parent_score
-        ) - reg_gamma
-        # Children must both receive some hessian mass; empty children give
-        # a spurious "gain" equal to -gamma and are never useful.
-        hl_sum = hl.sum(axis=-1)
-        hr_sum = hr.sum(axis=-1)
-        gains[option][(hl_sum <= 0.0) | (hr_sum <= 0.0)] = -np.inf
+    # Left-child sums of both default directions in one (2, D, q[, C])
+    # buffer.  Option 0 — missing goes right: left = prefix.  Option 1 —
+    # missing goes left: left = prefix + missing bucket.
+    gl = np.empty((2,) + grad.shape)
+    hl = np.empty((2,) + hess.shape)
+    np.cumsum(grad, axis=1, out=gl[0])
+    np.cumsum(hess, axis=1, out=hl[0])
+    np.add(gl[0], grad_total - gl[0, :, -1:], out=gl[1])
+    np.add(hl[0], hess_total - hl[0, :, -1:], out=hl[1])
+    gr = grad_total - gl
+    hr = hess_total - hl
 
-    # Mask invalid bins: a split at bin b needs b <= bins(f) - 2.
+    # Children must both receive some hessian mass; empty children give
+    # a spurious "gain" equal to -gamma and are never useful.  A split at
+    # bin b also needs b <= bins(f) - 2.
     bin_ids = np.arange(hist.num_bins)
-    invalid = bin_ids[None, :] >= (bins_per_feature[:, None] - 1)
-    gains[:, invalid] = -np.inf
+    masked = (sum_c(hl) <= 0.0) | (sum_c(hr) <= 0.0)
+    masked |= bin_ids[None, :] >= (bins_per_feature[:, None] - 1)
+
+    # G^2 / (H + lambda) of each child, in place over the sum buffers
+    for g, h in ((gl, hl), (gr, hr)):
+        g *= g
+        h += reg_lambda
+        g /= h
+    gains = sum_c(gl) + sum_c(gr)
+    gains -= parent_score
+    gains *= 0.5
+    gains -= reg_gamma
+    gains[masked] = -np.inf
 
     flat = int(np.argmax(gains))
     best_gain = float(gains.reshape(-1)[flat])

@@ -182,8 +182,10 @@ class HorizontalPartition(PartitionStrategy):
         ]
 
     def worker_grad(self, ex, worker, grad, hess):
+        """Views of the worker's contiguous row range — no copy."""
         rows = ex.row_ranges[worker]
-        return grad[rows], hess[rows]
+        lo = int(rows[0]) if rows.size else 0
+        return grad[lo:lo + rows.size], hess[lo:lo + rows.size]
 
     def worker_index(self, ex, worker):
         return ex.indexes[worker]
@@ -764,6 +766,7 @@ class ReduceScatterAggregation(_LocalPlacementMixin, AggregationStrategy):
     def find_splits(self, ex, nodes, clock) -> Dict[int, SplitInfo]:
         splits: Dict[int, SplitInfo] = {}
         bins = ex._binned.bins_per_feature
+        slice_bins = [bins[features] for features in ex.feature_ranges]
         payload = 0
         num_workers = ex.cluster.num_workers
         encode = not ex.codec.is_identity
@@ -787,7 +790,7 @@ class ReduceScatterAggregation(_LocalPlacementMixin, AggregationStrategy):
                 start = time.perf_counter()
                 candidate = ex._decide_split(
                     piece, ex.stats[node],
-                    ex.partition.node_count(ex, node), bins[features],
+                    ex.partition.node_count(ex, node), slice_bins[worker],
                 )
                 clock.charge(worker, time.perf_counter() - start,
                              phase="split-find")
@@ -866,6 +869,7 @@ class _LocalElectionMixin:
     def find_splits(self, ex, nodes, clock) -> Dict[int, SplitInfo]:
         splits: Dict[int, SplitInfo] = {}
         bins = ex._binned.bins_per_feature
+        group_bins = [bins[group] for group in ex.groups]
         for node in nodes:
             best: Optional[SplitInfo] = None
             for worker, group in enumerate(ex.groups):
@@ -874,7 +878,7 @@ class _LocalElectionMixin:
                 start = time.perf_counter()
                 candidate = ex._decide_split(
                     ex.stores[worker].get(node), ex.stats[node],
-                    ex.index.count_of(node), bins[group],
+                    ex.index.count_of(node), group_bins[worker],
                 )
                 clock.charge(worker, time.perf_counter() - start,
                              phase="split-find")

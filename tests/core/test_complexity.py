@@ -4,8 +4,9 @@ Rather than wall-clock time (noisy), these tests count *stored-entry
 accesses* reported by the instrumented kernels and check they scale as
 the paper's analysis says: histogram construction O(N d / W) per layer,
 subtraction skipping at least half the instances below the root, the
-hybrid column kernel's search/scan split, and the columnwise index's
-O(nnz)-per-layer maintenance.
+hybrid column kernel's search/scan split, the columnwise index's
+O(nnz)-per-layer maintenance, and column-store node splitting in
+O(rows on split nodes * log nnz) per layer.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from repro.core.histogram import (ColumnwiseIndex, build_colstore_hybrid,
                                   build_colstore_layer, build_rowstore)
 from repro.core.indexing import NodeToInstanceIndex
 from repro.core.loss import make_loss
+from repro.core.placement import layer_placements_colstore
+from repro.core.split import SplitInfo
 from repro.data.dataset import bin_dataset
 
 
@@ -110,6 +113,68 @@ class TestAccessCounts:
             index.split_node(node, rng.random(count) < 0.5,
                              2 * node + 1, 2 * node + 2)
         assert index.updates == 2 * binned.num_instances
+
+
+class TestColstorePlacementCost:
+    """Column-store node splitting probes each row of a split node once
+    into the split column: work grows with the rows on split nodes, not
+    with (split nodes x column nnz)."""
+
+    @staticmethod
+    def probes(monkeypatch, shard, index, splits):
+        """Needles searched per ``searchsorted`` call of one layer's
+        placement."""
+        calls = []
+        search = np.searchsorted
+
+        def counting(haystack, needles, *args, **kwargs):
+            haystack, needles = np.asarray(haystack), np.asarray(needles)
+            calls.append((haystack.size, needles.size))
+            # a mixed-dtype search converts the whole haystack first
+            assert haystack.dtype == needles.dtype
+            return search(haystack, needles, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "searchsorted", counting)
+            layer_placements_colstore(shard, index, splits)
+        return calls
+
+    @pytest.mark.parametrize("num_nodes", [2, 8, 32])
+    def test_probes_equal_rows_on_split_nodes(self, counted, monkeypatch,
+                                              num_nodes):
+        """All nodes of a layer split on the same dense column: the
+        probe count stays at N however many nodes share it."""
+        _, binned, _, _ = counted
+        csc = binned.csc()
+        feature = int(np.argmax(csc.col_lengths()))
+        n = binned.num_instances
+        node_of = (np.arange(n) * num_nodes // n).astype(np.int32)
+        index = NodeToInstanceIndex.from_assignment(node_of)
+        splits = {node: SplitInfo(feature, 3, False, 1.0)
+                  for node in range(num_nodes)}
+        calls = self.probes(monkeypatch, csc, index, splits)
+        assert len(calls) == num_nodes
+        assert sum(needles for _, needles in calls) == n
+        assert all(hay == csc.col_lengths()[feature] for hay, _ in calls)
+
+    def test_probes_track_split_node_rows_not_nnz(self, counted,
+                                                  monkeypatch):
+        """Shrinking the split nodes shrinks the work proportionally,
+        while the column (and its nnz) stays the same."""
+        _, binned, _, _ = counted
+        csc = binned.csc()
+        n = binned.num_instances
+        work = []
+        for small in (n // 2, n // 8, n // 32):
+            node_of = np.full(n, 9, dtype=np.int32)
+            node_of[:small] = 1
+            node_of[small:2 * small] = 2
+            index = NodeToInstanceIndex.from_assignment(node_of)
+            splits = {1: SplitInfo(0, 2, True, 1.0),
+                      2: SplitInfo(0, 5, False, 1.0)}
+            calls = self.probes(monkeypatch, csc, index, splits)
+            work.append(sum(needles for _, needles in calls))
+        assert work == [n, n // 4, n // 16]
 
 
 class TestScalingWithWorkers:

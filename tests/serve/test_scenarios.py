@@ -315,6 +315,20 @@ class TestCliErrors:
          "is not a deploy report"),
         (["deploy", "--show", "{path}"], None,
          "No such file or directory"),
+        (["predict", "{path}", "data.libsvm"], "not json {",
+         "is not a valid model file"),
+        (["predict", "{path}", "data.libsvm"], "[1, 2]",
+         "is not a valid model file"),
+        (["predict", "{path}", "data.libsvm"], '{"format_version": 1}',
+         "is not a valid model file"),
+        (["predict", "{path}", "data.libsvm"], None,
+         "No such file or directory"),
+        (["serve-bench", "--model", "{path}"], "not json {",
+         "is not a valid model file"),
+        (["serve-bench", "--model", "{path}"], '{"format_version": 0}',
+         "unsupported model format version"),
+        (["serve-bench", "--model", "{path}"], None,
+         "No such file or directory"),
     ])
     def test_other_commands_one_line_and_exit_2(self, argv, contents,
                                                 message, tmp_path,
