@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Five subcommands cover the everyday workflows:
+The subcommands cover the everyday workflows:
 
 * ``repro datagen`` — generate a synthetic or catalog dataset to libsvm;
 * ``repro train``   — train any quadrant system on a libsvm file or a
@@ -26,10 +26,7 @@ Five subcommands cover the everyday workflows:
 * ``repro deploy``  — run a closed-loop canary deployment episode:
   incumbent rollout, canary slice (or shadow scoring), delayed-label
   drift monitoring, auto-rollback + retrain or promotion, with the
-  full decision log printed from the ``deploy-report/v1``;
-* ``repro doctor``  — report detected kernel backends (numba/LLVM
-  versions) and run a per-backend bit-identity self-check; exits
-  nonzero on a backend that imports but miscompares.
+  full decision log printed from the ``deploy-report/v1``.
 
 ``repro train --plan auto-adapt`` trains through an adaptive
 :class:`~repro.systems.executor.TrainingSession` that recalibrates
@@ -115,10 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wire-format codec for inter-worker payloads "
                             "(sparse/delta are lossless; f32/f16 "
                             "quantize histograms)")
-    train.add_argument("--backend", default="",
-                       help="kernel backend for the histogram hot loops "
-                            "(numpy/numba/pyloop/auto; default numpy — "
-                            "all backends train bit-identical models)")
 
     predict = sub.add_parser("predict",
                              help="score a libsvm file with a model")
@@ -155,9 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--smoke", action="store_true",
                        help="tiny run for CI (seconds, not minutes)")
-    serve.add_argument("--backend", default="",
-                       help="kernel backend for the compiled predictor "
-                            "(numpy/numba/pyloop/auto; default numpy)")
     serve.add_argument("--quantized", action="store_true",
                        help="also benchmark the uint8 bin-quantized "
                             "predictor (in-process models only)")
@@ -181,9 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("none", "sparse", "f32", "f16"),
                         help="price horizontal aggregation with this "
                              "codec's encoded bytes")
-    advise.add_argument("--backend", default="",
-                        help="price compute for this kernel backend "
-                             "(numpy/numba/pyloop; default numpy)")
     advise.add_argument("--adaptive", action="store_true",
                         help="calibrate the cost model against observed "
                              "trees and print the calibrated-vs-prior "
@@ -269,14 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="pretty-print a saved deploy report "
                              "instead of running an episode")
 
-    doctor = sub.add_parser(
-        "doctor",
-        help="report kernel backends and self-check bit-identity",
-    )
-    doctor.add_argument("--skip-selfcheck", action="store_true",
-                        help="only report detection, skip the "
-                             "bit-identity battery")
-
     return parser
 
 
@@ -304,40 +283,52 @@ def cmd_datagen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .cluster.faults import (FaultInjector, FaultPlan,
+                                 UnrecoverableFaultError)
     from .systems.plans import get_plan
+    from .systems.strategies import AGGREGATIONS
 
     adaptive = args.plan == "auto-adapt"
-    # resolve the plan and the dataset name before any work, so a typo
-    # fails fast and alone
+    # build and validate everything the flags decide before loading any
+    # data, so bad input fails fast and alone
     try:
+        classes = (catalog.get_entry(args.catalog).num_classes
+                   if args.catalog else args.classes)
+        multiclass = classes > 2
+        config = TrainConfig(
+            num_trees=args.trees,
+            num_layers=args.layers,
+            num_candidates=args.candidates,
+            learning_rate=args.learning_rate,
+            objective="multiclass" if multiclass else "binary",
+            num_classes=max(args.classes, classes) if multiclass else 2,
+            plan="" if adaptive else (args.plan or ""),
+            faults=args.faults,
+            codec=args.codec,
+            adapt=args.adapt_every if adaptive else 0,
+        )
+        cluster = ClusterConfig(
+            num_workers=args.workers,
+            network=NetworkModel(bandwidth_gbps=args.bandwidth_gbps),
+        )
+        if not 0.0 < args.valid_fraction < 1.0:
+            raise ValueError("--valid-fraction must be in (0, 1), got "
+                             f"{args.valid_fraction}")
+        if config.faults:
+            # drawing the schedule rejects a crash pile-up up front
+            FaultInjector(FaultPlan.parse(config.faults),
+                          cluster.num_workers, config.num_trees,
+                          config.num_layers)
         if not adaptive:
-            get_plan(args.plan or args.system)
+            plan = get_plan(args.plan or args.system)
+            AGGREGATIONS[plan.aggregation].validate(config)
         dataset = _load_training_data(args)
-    except KeyError as exc:
-        return _usage_error(exc.args[0])
-    num_classes = max(args.classes, dataset.num_classes)
-    multiclass = dataset.task == "multiclass"
-    config = TrainConfig(
-        num_trees=args.trees,
-        num_layers=args.layers,
-        num_candidates=args.candidates,
-        learning_rate=args.learning_rate,
-        objective="multiclass" if multiclass else "binary",
-        num_classes=num_classes if multiclass else 2,
-        plan="" if adaptive else (args.plan or ""),
-        faults=args.faults,
-        codec=args.codec,
-        backend=args.backend,
-        adapt=args.adapt_every if adaptive else 0,
-    )
-    cluster = ClusterConfig(
-        num_workers=args.workers,
-        network=NetworkModel(bandwidth_gbps=args.bandwidth_gbps),
-    )
+    except (KeyError, ValueError, OSError,
+            UnrecoverableFaultError) as exc:
+        return _usage_error(exc.args[0] if isinstance(exc, KeyError)
+                            else str(exc))
     train, valid = dataset.split(1.0 - args.valid_fraction,
                                  seed=args.seed)
-    from .core.kernels import resolve_backend_name
-
     if adaptive:
         from .systems import make_adaptive_session
 
@@ -353,8 +344,7 @@ def cmd_train(args) -> int:
         result = system.fit(train, valid=valid)
     last = result.evals[-1]
     print(f"system={system.name} quadrant={system.quadrant} "
-          f"plan={system.plan.key} workers={args.workers} "
-          f"backend={resolve_backend_name(config.backend)}")
+          f"plan={system.plan.key} workers={args.workers}")
     if len(result.plan_history) > 1:
         print(f"plan history: {' -> '.join(result.plan_history)} "
               f"({len(result.migrations)} migration(s), "
@@ -415,7 +405,7 @@ def cmd_train(args) -> int:
         save_report(
             run_report(result, system=system.name,
                        dataset=args.catalog or args.data or "",
-                       codec=args.codec, backend=config.backend),
+                       codec=args.codec),
             args.report_out,
         )
         print(f"run report saved to {args.report_out} "
@@ -505,14 +495,8 @@ def cmd_serve_bench(args) -> int:
         registry.publish(second, source="in-process v2")
         ensembles = {1: first, 2: second}
     compiled = entry.compiled
-    if args.backend:
-        from .serve import compile_ensemble as _compile
-
-        source = ensembles.get(entry.version)
-        if source is not None:
-            compiled = _compile(source, backend=args.backend)
     print(f"serving {entry} from {args.serve_workers} workers "
-          f"({args.balancer}, backend={compiled.backend.name})")
+          f"({args.balancer})")
 
     trace = synthetic_trace(
         args.requests, max(compiled.num_features, 1), args.rate,
@@ -641,7 +625,6 @@ def cmd_advise(args) -> int:
         memory_budget_bytes=budget,
         crash_rate=args.crash_rate,
         codec=args.codec,
-        backend=args.backend,
     )
     print(f"recommendation: {rec.best.quadrant} "
           f"({rec.best.description})")
@@ -729,7 +712,6 @@ def _advise_adaptive(args, shape: WorkloadShape, rec) -> int:
             objective="multiclass" if args.classes > 2 else "binary",
             num_classes=args.classes if args.classes > 2 else 2,
             codec="" if args.codec == "none" else args.codec,
-            backend=args.backend,
         )
         cluster = ClusterConfig(num_workers=args.workers,
                                 network=network)
@@ -913,43 +895,6 @@ def cmd_deploy(args) -> int:
     return 0
 
 
-def cmd_doctor(args) -> int:
-    """Backend detection report plus the bit-identity battery.
-
-    Exit status: 0 when every available backend is bit-identical to the
-    numpy baseline, 1 when a backend imports but miscompares (or its
-    battery crashes) — the failure mode worse than a missing install.
-    """
-    from .core.kernels import DISABLE_ENV, detect_backends
-    from .selfcheck import check_backend
-
-    print("kernel backends:")
-    infos = detect_backends()
-    for info in infos:
-        print(f"  {info.describe()}")
-    disabled = [i.name for i in infos
-                if not i.available and DISABLE_ENV in i.version]
-    if disabled:
-        print(f"  ({DISABLE_ENV} is masking: {', '.join(disabled)})")
-    if args.skip_selfcheck:
-        return 0
-    print("bit-identity self-check (vs numpy baseline):")
-    failed = False
-    for info in infos:
-        if not info.available:
-            print(f"  {info.name}: skipped (not available)")
-            continue
-        result = check_backend(info.name)
-        print(f"  {result.describe()}")
-        failed = failed or not result.passed
-    if failed:
-        print("FAIL: a backend imports but does not reproduce the "
-              "numpy baseline bit-for-bit — do not train with it")
-        return 1
-    print("all available backends are bit-identical")
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -961,7 +906,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "ledger": cmd_ledger,
         "scenarios": cmd_scenarios,
         "deploy": cmd_deploy,
-        "doctor": cmd_doctor,
     }
     return handlers[args.command](args)
 

@@ -84,13 +84,6 @@ class TrainConfig:
         :func:`repro.cluster.codecs.get_codec_stack` at build time, not
         here — like ``plan``, the config layer stays free of cluster
         imports.
-    backend:
-        Kernel backend for the histogram/predict hot loops (``"numpy"``,
-        ``"numba"``, ``"pyloop"`` or ``"auto"``); the empty string means
-        the portable numpy default.  All backends are bit-identical on
-        the lossless path, so this is purely a speed knob.  Resolved by
-        :func:`repro.core.kernels.make_backend` at build time, not here
-        — like ``plan``, the config layer stays free of kernel imports.
     adapt:
         Adaptive re-planning cadence: every ``adapt`` trees the session
         recalibrates the cost model against the observed ledger and
@@ -119,7 +112,6 @@ class TrainConfig:
     plan: str = ""
     faults: str = ""
     codec: str = ""
-    backend: str = ""
     adapt: int = 0
 
     def __post_init__(self) -> None:

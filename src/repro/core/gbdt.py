@@ -72,14 +72,8 @@ class GBDT:
                  builder: Optional[HistogramBuilder] = None) -> None:
         self.config = config
         # one workspace-owning kernel engine per trainer; its histogram
-        # pool recycles every per-node buffer across layers and trees,
-        # and config.backend selects the scatter kernel implementation
-        self.builder = (
-            builder if builder is not None
-            else HistogramBuilder(backend=config.backend or None)
-        )
-        self.builder.constant_hessian = make_loss(
-            config.objective, config.num_classes).constant_hessian
+        # pool recycles every per-node buffer across layers and trees
+        self.builder = builder if builder is not None else HistogramBuilder()
 
     # -- public API ----------------------------------------------------------
 

@@ -33,12 +33,10 @@ kernels run on a reusable-workspace engine:
   implements all four kernels allocation-free on the hot path, with a
   dedicated **root fast path** (a node holding every shard row keys
   directly off the shard's cached entry keys);
-* the innermost scatter-add dispatches to a pluggable
-  :class:`~repro.core.kernels.KernelBackend` — the numpy default's
-  **fused scatter** collapses the 2·C per-class ``bincount`` calls into C
-  single passes over stacked gradient/hessian weights, while the
-  optional numba backend compiles unrolled per-entry loops with a
-  no-hessian fast path for constant-hessian objectives.
+* the innermost scatter-add runs on
+  :class:`~repro.core.kernels.NumpyKernels`, whose **fused scatter**
+  collapses the 2·C per-class ``bincount`` calls into C single passes
+  over stacked gradient/hessian weights.
 
 The module-level kernel functions are thin wrappers over a shared default
 builder, so existing callers keep working unchanged.  All kernels remain
@@ -54,6 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..data.matrix import CSCMatrix, CSRMatrix
+from .kernels import NumpyKernels, Scratch
 
 BYTES_PER_DOUBLE = 8
 
@@ -71,9 +70,8 @@ class Histogram:
     arrays stored flat so construction kernels can scatter with a single
     ``bincount`` per gradient dimension.  The accumulator ``dtype``
     defaults to float64 (the lossless path every bit-identity contract
-    is stated against); backends may request float32 accumulators for
-    ablations, and the pool keys buffers by dtype so the two can never
-    alias.
+    is stated against); ablations may request float32 accumulators, and
+    the pool keys buffers by dtype so the two can never alias.
     """
 
     __slots__ = ("grad", "hess", "num_features", "num_bins",
@@ -183,7 +181,7 @@ class HistogramPool:
     that is thousands of short-lived ``2·D·q·C`` buffers per tree.  The pool
     keeps released buffers keyed by shape **and accumulator dtype** and
     hands them back zeroed, so the steady-state hot path performs no
-    histogram allocation at all.  The dtype key matters once backends can
+    histogram allocation at all.  The dtype key matters once callers
     request float32 accumulators: without it, a float32 acquire could be
     handed a float64 buffer released by another node's build (same shape,
     wrong precision) and silently accumulate at the wrong width.
@@ -276,50 +274,18 @@ class HistogramBuilder:
     grow-only scratch arrays for scatter keys and stacked weights, so
     repeated kernel calls on same-scale workloads allocate nothing.
 
-    The innermost scatter-add runs on a pluggable
-    :class:`~repro.core.kernels.KernelBackend` (``backend`` accepts a
-    registry name, an instance, or ``None`` for the portable numpy
-    default); the builder keeps the gather/key-composition machinery and
-    hands the backend precomposed keys plus pooled output buffers.
-    Trainers with a constant-hessian objective set ``constant_hessian``
-    so loop backends can take the no-hessian fast path (bin count times
-    the constant — taken only when bit-identical, i.e. at 1.0).
+    The innermost scatter-add runs on ``kernels`` (``None`` means
+    :class:`~repro.core.kernels.NumpyKernels`; tests pass the
+    :class:`~repro.core.kernels.LoopKernels` oracle); the builder keeps
+    the gather/key-composition machinery and hands the kernels
+    precomposed keys plus pooled output buffers.
     """
 
     def __init__(self, pool: Optional[HistogramPool] = None,
-                 backend=None) -> None:
-        from .kernels import make_backend
-
+                 kernels: Optional[NumpyKernels] = None) -> None:
         self.pool = pool if pool is not None else HistogramPool()
-        self.backend = make_backend(backend)
-        #: per-instance hessian value when the objective's hessian is
-        #: constant (e.g. 1.0 for square loss); ``None`` otherwise
-        self.constant_hessian: Optional[float] = None
-        self._scratch: Dict[str, np.ndarray] = {}
-
-    # -- workspaces -----------------------------------------------------------
-
-    def _buf(self, name: str, size: int, dtype) -> np.ndarray:
-        """Grow-only scratch array; contents are undefined on entry."""
-        buf = self._scratch.get(name)
-        if buf is None or buf.size < size:
-            capacity = max(size, 1024)
-            if buf is not None:
-                capacity = max(capacity, 2 * buf.size)
-            buf = np.empty(capacity, dtype=dtype)
-            self._scratch[name] = buf
-        return buf[:size]
-
-    def _iota(self, size: int) -> np.ndarray:
-        """``arange(size)`` served from a cached buffer."""
-        buf = self._scratch.get("iota")
-        if buf is None or buf.size < size:
-            capacity = max(size, 1024)
-            if buf is not None:
-                capacity = max(capacity, 2 * buf.size)
-            buf = np.arange(capacity, dtype=np.int64)
-            self._scratch["iota"] = buf
-        return buf[:size]
+        self.kernels = kernels if kernels is not None else NumpyKernels()
+        self._scratch = Scratch()
 
     def release(self, hist: Optional[Histogram]) -> None:
         self.pool.release(hist)
@@ -333,26 +299,6 @@ class HistogramBuilder:
         np.subtract(parent.grad, child.grad, out=out.grad)
         np.subtract(parent.hess, child.hess, out=out.hess)
         return out
-
-    # -- the scatter dispatch -------------------------------------------------
-
-    #: kept as an alias of the numpy backend's fusion threshold — tests
-    #: and perf notes reference it here
-    FUSE_THRESHOLD = 1 << 16
-
-    def _scatter(self, hist: Histogram, keys: np.ndarray,
-                 entry_rows: np.ndarray, grad: np.ndarray,
-                 hess: np.ndarray, size: int) -> None:
-        """Scatter-add gradients and hessians of ``entry_rows`` at ``keys``.
-
-        Dispatches to the builder's kernel backend (see
-        :meth:`repro.core.kernels.KernelBackend.scatter` — the numpy
-        default fuses the grad/hess passes into one ``bincount`` over
-        stacked weights for small nodes).  Every bin of ``hist`` is
-        assigned, so callers may acquire the buffer un-zeroed.
-        """
-        self.backend.scatter(hist, keys, entry_rows, grad, hess, size,
-                             hess_const=self.constant_hessian)
 
     # -- row-store kernel (QD2 / QD4) -----------------------------------------
 
@@ -388,9 +334,9 @@ class HistogramBuilder:
                                      gradient_dim), 0
         hist = self.pool.acquire(shard.num_cols, num_bins, gradient_dim,
                                  zero=False)
-        self._scatter(hist, shard.hist_keys(num_bins),
-                      shard.row_of_entries(), grad, hess,
-                      shard.num_cols * num_bins)
+        self.kernels.scatter(hist, shard.hist_keys(num_bins),
+                             shard.row_of_entries(), grad, hess,
+                             shard.num_cols * num_bins)
         return hist, total
 
     def _rowstore_gather(self, shard: CSRMatrix, rows: np.ndarray,
@@ -410,14 +356,15 @@ class HistogramBuilder:
         # by the entries already emitted, then add a flat ramp
         entry_pos = np.repeat(starts - np.cumsum(lengths) + lengths,
                               lengths)
-        entry_pos += self._iota(total)
+        entry_pos += self._scratch.get("iota", total, np.int64,
+                                      make=np.arange)
         entry_rows = np.repeat(rows, lengths)
         # gather precomposed scatter keys from the shard cache: one take
         # instead of re-deriving feature*num_bins + bin per entry
-        keys = self._buf("gather_keys", total, np.int64)
+        keys = self._scratch.get("gather_keys", total, np.int64)
         np.take(shard.hist_keys(num_bins), entry_pos, out=keys)
-        self._scatter(hist, keys, entry_rows, grad, hess,
-                      shard.num_cols * num_bins)
+        self.kernels.scatter(hist, keys, entry_rows, grad, hess,
+                             shard.num_cols * num_bins)
         return hist, total
 
     # -- column-store + instance-to-node kernel (QD1) -------------------------
@@ -450,13 +397,13 @@ class HistogramBuilder:
             slot_arr = slot_arr.astype(np.int64)
         nnz = int(shard.nnz)
         size = shard.num_cols * num_bins
-        slots = self._buf("layer_slots", nnz, np.int64)
+        slots = self._scratch.get("layer_slots", nnz, np.int64)
         np.take(slot_arr, shard.indices, out=slots)
         base_keys = shard.hist_keys(num_bins)
-        active = self._buf("layer_active", nnz, np.bool_)
+        active = self._scratch.get("layer_active", nnz, np.bool_)
         np.greater_equal(slots, 0, out=active)
         if active.all():
-            keys = self._buf("layer_keys", nnz, np.int64)
+            keys = self._scratch.get("layer_keys", nnz, np.int64)
             np.multiply(slots, size, out=keys)
             keys += base_keys
             entry_rows: np.ndarray = shard.indices
@@ -470,19 +417,9 @@ class HistogramBuilder:
                               zero=False)
             for _ in range(num_slots)
         ]
-        self._scatter_slotted(hists, keys, entry_rows, grad, hess, size,
-                              num_slots)
+        self.kernels.scatter_slotted(hists, keys, entry_rows, grad, hess,
+                                     size, num_slots)
         return hists, nnz
-
-    def _scatter_slotted(self, hists: List[Histogram], keys: np.ndarray,
-                         entry_rows: np.ndarray, grad: np.ndarray,
-                         hess: np.ndarray, size: int,
-                         num_slots: int) -> None:
-        """Scatter across a whole layer of slot-prefixed keys (backend
-        dispatch; the numpy default fuses all slots into one bincount)."""
-        self.backend.scatter_slotted(hists, keys, entry_rows, grad, hess,
-                                     size, num_slots,
-                                     hess_const=self.constant_hessian)
 
     # -- column-store + hybrid index kernel (QD3) -----------------------------
 
@@ -547,9 +484,9 @@ class HistogramBuilder:
             rows_parts.append(rows)
             keys_parts.append(bins.astype(np.int64) + j * num_bins)
         if keys_parts:
-            self._scatter(hist, np.concatenate(keys_parts),
-                          np.concatenate(rows_parts), grad, hess,
-                          shard.num_cols * num_bins)
+            self.kernels.scatter(hist, np.concatenate(keys_parts),
+                                 np.concatenate(rows_parts), grad, hess,
+                                 shard.num_cols * num_bins)
         return hist, scanned, searched
 
     # -- column-store + column-wise index kernel (Yggdrasil mode) -------------
@@ -578,9 +515,9 @@ class HistogramBuilder:
             rows_parts.append(rows)
             keys_parts.append(bins + j * num_bins)
         if keys_parts:
-            self._scatter(hist, np.concatenate(keys_parts),
-                          np.concatenate(rows_parts), grad, hess,
-                          shard.num_cols * num_bins)
+            self.kernels.scatter(hist, np.concatenate(keys_parts),
+                                 np.concatenate(rows_parts), grad, hess,
+                                 shard.num_cols * num_bins)
         return hist, touched
 
 

@@ -1,50 +1,28 @@
-"""Pluggable compiled-kernel backends for the histogram and predict hot paths.
+"""The histogram-scatter and predict hot loops, plus their loop oracle.
 
 The paper's quadrant analysis assumes histogram construction and batch
 prediction run at hardware speed; interpreter-side scatter loops would
-bottleneck every distributed-plan comparison on the wrong thing.  This
-module makes the two hot paths *pluggable*: a :class:`KernelBackend`
-owns the innermost kernels —
+bottleneck every distributed-plan comparison on the wrong thing.  Every
+quadrant therefore runs on one kernel engine, :class:`NumpyKernels`:
 
 * the **histogram scatter** behind every
   :class:`~repro.core.histogram.HistogramBuilder` construction kernel
-  (scatter-add gradients/hessians of binned entries into per-node bins);
+  (scatter-add gradients/hessians of binned entries into per-node bins),
+  fused into one ``bincount`` over stacked weights for small nodes;
 * the **level-synchronous predictor** behind
   :class:`~repro.serve.compiler.CompiledEnsemble` (advance every row of
   a batch one tree layer per step) and its uint8 bin-quantized variant.
 
-Three backends are registered:
-
-* ``numpy`` — the always-available portable default: fused ``bincount``
-  scatters and vectorized layer-at-a-time traversal (the engine the
-  repo's perf history was measured on).
-* ``numba`` — optional, auto-detected.  JIT-compiles the module-level
-  loop kernels below following the sklearn ``_hist_gradient_boosting``
-  idioms: per-entry scatter loops unrolled by 4 so LLVM can
-  auto-vectorize, a no-hessian fast path for constant-hessian
-  objectives (hessian histogram = bin count x the constant), and
-  in-place writes into pooled output buffers so the hot loop allocates
-  nothing.  ``fastmath`` stays **off**: additions run in storage order,
-  keeping every backend bit-identical to the numpy baseline.
-* ``pyloop`` — the *same* loop kernels interpreted instead of
-  JIT-compiled.  Hopeless for speed, invaluable for correctness: it
-  proves the numba algorithm bit-identical on machines without numba
-  (CI's numpy-only job, this repo's test suite) and serves as the
-  reference when debugging a miscompiling numba install.
-
-Backend choice is wired through ``TrainConfig.backend``,
-``repro train --backend``, ``repro serve-bench --backend`` and the
-advisor's plan pricing; ``repro doctor`` reports what is detected and
-self-checks bit-identity.  Set ``REPRO_DISABLE_BACKENDS=numba`` (comma
-list) to make detection treat an installed backend as absent — the CI
-degradation job uses this to prove the numpy fallback.
+:class:`LoopKernels` runs the same scatter and traversal as plain
+per-entry Python loops.  It is far too slow to train with and exists as
+the reference the tests compare the numpy kernels against: the builder
+and both predictors take a kernels instance (``None`` means numpy), and
+every model, histogram and score must come out bit-identical.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Type
+from typing import Dict
 
 import numpy as np
 
@@ -58,229 +36,62 @@ CHILD_SHIFT = FEATURE_BITS + 1
 #: reserved uint8 bin value marking a missing entry in quantized batches
 MISSING_BIN = 255
 
-#: environment variable listing backend names detection must treat as
-#: unavailable (comma-separated) — the CI numpy-only job's switch
-DISABLE_ENV = "REPRO_DISABLE_BACKENDS"
+#: below this many entries the per-call overhead of ``bincount``
+#: dominates its streaming cost, so fusing grad+hess into one call over
+#: stacked weights wins; above it the fusion is a wash and the
+#: doubled-key construction becomes a pure extra memory pass
+FUSE_THRESHOLD = 1 << 16
 
 
-def _disabled() -> set:
-    raw = os.environ.get(DISABLE_ENV, "")
-    names = {name.strip() for name in raw.split(",") if name.strip()}
-    # the numpy baseline is the registry's availability floor: masking
-    # it would leave ``auto`` (and the default) with nothing to resolve
-    names.discard("numpy")
-    return names
+class Scratch:
+    """Named grow-only scratch arrays.
 
-
-# ---------------------------------------------------------------------------
-# The loop kernels (numba-compilable; pyloop runs them interpreted)
-# ---------------------------------------------------------------------------
-# Every function below is written in the numba-compatible subset: plain
-# loops over contiguous arrays, no numpy fancy indexing, module-level
-# int constants only.  The ``numba`` backend compiles these exact
-# functions with ``njit(fastmath=False)``; the ``pyloop`` backend calls
-# them as-is.  Scatter loops are unrolled by 4 (the sklearn
-# hist-GBDT hint that lets LLVM auto-vectorize the gather+add), which
-# preserves bit-identity: per bin, additions still land in entry order.
-
-def _k_scatter(grad_out, hess_out, keys, entry_rows, grad, hess):
-    """Scatter-add grad/hess of each entry at its key (both passes)."""
-    n = keys.shape[0]
-    for c in range(grad.shape[1]):
-        unrolled = 4 * (n // 4)
-        for i in range(0, unrolled, 4):
-            grad_out[keys[i], c] += grad[entry_rows[i], c]
-            grad_out[keys[i + 1], c] += grad[entry_rows[i + 1], c]
-            grad_out[keys[i + 2], c] += grad[entry_rows[i + 2], c]
-            grad_out[keys[i + 3], c] += grad[entry_rows[i + 3], c]
-        for i in range(unrolled, n):
-            grad_out[keys[i], c] += grad[entry_rows[i], c]
-        unrolled = 4 * (n // 4)
-        for i in range(0, unrolled, 4):
-            hess_out[keys[i], c] += hess[entry_rows[i], c]
-            hess_out[keys[i + 1], c] += hess[entry_rows[i + 1], c]
-            hess_out[keys[i + 2], c] += hess[entry_rows[i + 2], c]
-            hess_out[keys[i + 3], c] += hess[entry_rows[i + 3], c]
-        for i in range(unrolled, n):
-            hess_out[keys[i], c] += hess[entry_rows[i], c]
-
-
-def _k_scatter_no_hess(grad_out, hess_out, keys, entry_rows, grad,
-                       hess_const):
-    """No-hessian fast path: one gradient pass plus a bin-count pass.
-
-    With a constant per-instance hessian ``h`` the hessian histogram is
-    ``count * h`` per bin.  Exactly equal to the scattered sum when
-    ``h == 1.0`` (integer-valued sums below 2**53), which is the only
-    value trainers hand us (square loss); callers gate on that.
+    ``get`` hands back a ``size``-long view of an array that only ever
+    grows (at least doubling), so repeated same-scale calls allocate
+    nothing.  Contents are undefined on entry unless ``make`` fills them
+    (``np.arange`` keeps a cached ramp).
     """
-    n = keys.shape[0]
-    for c in range(grad.shape[1]):
-        unrolled = 4 * (n // 4)
-        for i in range(0, unrolled, 4):
-            grad_out[keys[i], c] += grad[entry_rows[i], c]
-            grad_out[keys[i + 1], c] += grad[entry_rows[i + 1], c]
-            grad_out[keys[i + 2], c] += grad[entry_rows[i + 2], c]
-            grad_out[keys[i + 3], c] += grad[entry_rows[i + 3], c]
-        for i in range(unrolled, n):
-            grad_out[keys[i], c] += grad[entry_rows[i], c]
-    unrolled = 4 * (n // 4)
-    for i in range(0, unrolled, 4):
-        hess_out[keys[i], 0] += 1.0
-        hess_out[keys[i + 1], 0] += 1.0
-        hess_out[keys[i + 2], 0] += 1.0
-        hess_out[keys[i + 3], 0] += 1.0
-    for i in range(unrolled, n):
-        hess_out[keys[i], 0] += 1.0
-    if hess_const != 1.0:
-        for j in range(hess_out.shape[0]):
-            hess_out[j, 0] *= hess_const
-    for c in range(1, hess_out.shape[1]):
-        for j in range(hess_out.shape[0]):
-            hess_out[j, c] = hess_out[j, 0]
-
-
-def _k_predict(packed, threshold, scaled, tree_root, tree_depth, flat,
-               num, has_nan, use, out):
-    """Walk every row through trees ``0..use``, accumulating scores.
-
-    ``flat`` is the feature-major batch flattened: row ``i``'s value of
-    feature ``f`` lives at ``f * num + i``.  Per row, scores accumulate
-    in tree order — the same float additions, in the same order, as the
-    numpy layer-synchronous path.
-    """
-    dim = out.shape[1]
-    for t in range(use):
-        root = tree_root[t]
-        depth = tree_depth[t]
-        for i in range(num):
-            pos = root
-            for _ in range(depth):
-                meta = packed[pos]
-                value = flat[(meta & FEATURE_MASK) * num + i]
-                go_right = value > threshold[pos]
-                if has_nan and value != value and (meta & MISS_BIT) != 0:
-                    go_right = True
-                pos = meta >> CHILD_SHIFT
-                if go_right:
-                    pos += 1
-            for c in range(dim):
-                out[i, c] += scaled[pos, c]
-
-
-def _k_predict_quantized(packed, threshold_bin, scaled, tree_root,
-                         tree_depth, flat_bins, num, has_missing, use,
-                         out):
-    """Quantized traversal: uint8 bin values against int16 bin cuts.
-
-    Bin 255 marks a missing value and follows the packed default
-    direction; leaf slots carry threshold 255 so every bin value parks
-    (``value > 255`` is false even for the missing sentinel).
-    """
-    dim = out.shape[1]
-    for t in range(use):
-        root = tree_root[t]
-        depth = tree_depth[t]
-        for i in range(num):
-            pos = root
-            for _ in range(depth):
-                meta = packed[pos]
-                value = flat_bins[(meta & FEATURE_MASK) * num + i]
-                if has_missing and value == MISSING_BIN:
-                    go_right = (meta & MISS_BIT) != 0 \
-                        and threshold_bin[pos] != MISSING_BIN
-                else:
-                    go_right = value > threshold_bin[pos]
-                pos = meta >> CHILD_SHIFT
-                if go_right:
-                    pos += 1
-            for c in range(dim):
-                out[i, c] += scaled[pos, c]
-
-
-#: kernel name -> interpreted implementation (what numba compiles)
-LOOP_KERNELS = {
-    "scatter": _k_scatter,
-    "scatter_no_hess": _k_scatter_no_hess,
-    "predict": _k_predict,
-    "predict_quantized": _k_predict_quantized,
-}
-
-
-# ---------------------------------------------------------------------------
-# Backend protocol + numpy reference implementation
-# ---------------------------------------------------------------------------
-
-class KernelBackend:
-    """One engine for the histogram-scatter and predict hot loops.
-
-    The base class *is* the numpy implementation — fused ``bincount``
-    scatters and vectorized level-synchronous traversal — so subclasses
-    override only the loops they accelerate and inherit the rest.
-    Instances own grow-only scratch buffers and must not be shared
-    across threads; resolve one per builder/predictor via
-    :func:`make_backend`.
-    """
-
-    #: registry key
-    name = "numpy"
-    #: relative histogram-kernel throughput vs numpy (advisor pricing);
-    #: numba's factor is pinned by ``bench/backend_bench.py``
-    compute_factor = 1.0
-    #: larger wins ``auto`` resolution among available backends
-    priority = 0
-
-    #: below this many entries the per-call overhead of ``bincount``
-    #: dominates its streaming cost, so fusing grad+hess into one call
-    #: over stacked weights wins; above it the fusion is a wash and the
-    #: doubled-key construction becomes a pure extra memory pass
-    FUSE_THRESHOLD = 1 << 16
 
     def __init__(self) -> None:
-        self._scratch: Dict[str, np.ndarray] = {}
+        self._arrays: Dict[str, np.ndarray] = {}
 
-    # -- availability ------------------------------------------------------
-
-    @classmethod
-    def is_available(cls) -> bool:
-        return cls.name not in _disabled()
-
-    @classmethod
-    def version(cls) -> str:
-        """Toolchain version string shown by ``repro doctor``."""
-        return f"numpy {np.__version__}"
-
-    # -- scratch -----------------------------------------------------------
-
-    def _buf(self, key: str, size: int, dtype) -> np.ndarray:
-        """Grow-only scratch array; contents undefined on entry."""
-        buf = self._scratch.get(key)
-        if buf is None or buf.size < size:
+    def get(self, key: str, size: int, dtype, make=np.empty) -> np.ndarray:
+        arr = self._arrays.get(key)
+        if arr is None or arr.size < size:
             capacity = max(size, 1024)
-            if buf is not None:
-                capacity = max(capacity, 2 * buf.size)
-            buf = np.empty(capacity, dtype=dtype)
-            self._scratch[key] = buf
-        return buf[:size]
+            if arr is not None:
+                capacity = max(capacity, 2 * arr.size)
+            arr = make(capacity, dtype=dtype)
+            self._arrays[key] = arr
+        return arr[:size]
+
+
+class NumpyKernels:
+    """Fused ``bincount`` scatters and vectorized level-synchronous
+    traversal.
+
+    Instances own grow-only scratch buffers and must not be shared
+    across threads; each builder and predictor makes its own.
+    """
+
+    def __init__(self) -> None:
+        self._scratch = Scratch()
 
     # -- histogram scatter -------------------------------------------------
 
     def scatter(self, hist, keys: np.ndarray, entry_rows: np.ndarray,
-                grad: np.ndarray, hess: np.ndarray, size: int,
-                hess_const: Optional[float] = None) -> None:
+                grad: np.ndarray, hess: np.ndarray, size: int) -> None:
         """Scatter-add gradients/hessians of ``entry_rows`` at ``keys``.
 
         Fills **every** bin of ``hist`` (callers may acquire the buffer
-        un-zeroed).  ``hess_const`` hints that all hessians equal that
-        constant; backends may take a no-hessian fast path when the
-        result stays bit-identical (only ``1.0`` qualifies).
+        un-zeroed).
         """
         n = keys.size
-        if n <= self.FUSE_THRESHOLD:
-            kk = self._buf("fused_keys", 2 * n, np.int64)
+        if n <= FUSE_THRESHOLD:
+            kk = self._scratch.get("fused_keys", 2 * n, np.int64)
             kk[:n] = keys
             np.add(keys, size, out=kk[n:])
-            w = self._buf("fused_weights", 2 * n, np.float64)
+            w = self._scratch.get("fused_weights", 2 * n, np.float64)
             for c in range(grad.shape[1]):
                 np.take(grad[:, c], entry_rows, out=w[:n])
                 np.take(hess[:, c], entry_rows, out=w[n:])
@@ -288,7 +99,7 @@ class KernelBackend:
                 hist.grad[:, c] = flat[:size]
                 hist.hess[:, c] = flat[size:]
             return
-        w = self._buf("fused_weights", n, np.float64)
+        w = self._scratch.get("fused_weights", n, np.float64)
         for c in range(grad.shape[1]):
             np.take(grad[:, c], entry_rows, out=w)
             hist.grad[:, c] = np.bincount(keys, weights=w, minlength=size)
@@ -297,15 +108,15 @@ class KernelBackend:
 
     def scatter_slotted(self, hists, keys: np.ndarray,
                         entry_rows: np.ndarray, grad: np.ndarray,
-                        hess: np.ndarray, size: int, num_slots: int,
-                        hess_const: Optional[float] = None) -> None:
+                        hess: np.ndarray, size: int,
+                        num_slots: int) -> None:
         """Fused scatter across a whole layer of slot-prefixed keys."""
         n = keys.size
         total_size = num_slots * size
-        kk = self._buf("fused_keys", 2 * n, np.int64)
+        kk = self._scratch.get("fused_keys", 2 * n, np.int64)
         kk[:n] = keys
         np.add(keys, total_size, out=kk[n:])
-        w = self._buf("fused_weights", 2 * n, np.float64)
+        w = self._scratch.get("fused_weights", 2 * n, np.float64)
         for c in range(grad.shape[1]):
             np.take(grad[:, c], entry_rows, out=w[:n])
             np.take(hess[:, c], entry_rows, out=w[n:])
@@ -383,68 +194,104 @@ class KernelBackend:
         return scores
 
 
-class NumpyBackend(KernelBackend):
-    """The portable default — exactly the base-class implementation."""
+# ---------------------------------------------------------------------------
+# The loop oracle
+# ---------------------------------------------------------------------------
+# Plain per-entry loops: per bin, additions land in entry order and, per
+# row, scores accumulate in tree order — the same float additions, in
+# the same order, as the numpy paths above.
+
+def _k_scatter(grad_out, hess_out, keys, entry_rows, grad, hess):
+    """Scatter-add grad/hess of each entry at its key (both passes)."""
+    for c in range(grad.shape[1]):
+        for i in range(keys.shape[0]):
+            grad_out[keys[i], c] += grad[entry_rows[i], c]
+        for i in range(keys.shape[0]):
+            hess_out[keys[i], c] += hess[entry_rows[i], c]
 
 
-def _loop_scatter_dispatch(backend, hist, keys, entry_rows, grad, hess,
-                           size, hess_const) -> None:
-    """Shared scatter driver of the loop backends (pyloop + numba).
+def _k_predict(packed, threshold, scaled, tree_root, tree_depth, flat,
+               num, has_nan, use, out):
+    """Walk every row through trees ``0..use``, accumulating scores.
 
-    The loop kernels add into their output in place, so the buffers are
-    zeroed here first — preserving the builder's contract that every
-    bin of an un-zeroed pooled buffer gets written.
+    ``flat`` is the feature-major batch flattened: row ``i``'s value of
+    feature ``f`` lives at ``f * num + i``.
     """
-    hist.grad[:] = 0.0
-    hist.hess[:] = 0.0
-    if hess_const is not None and hess_const == 1.0:
-        backend._kernels["scatter_no_hess"](
-            hist.grad, hist.hess, keys, entry_rows, grad, hess_const)
-    else:
-        backend._kernels["scatter"](
-            hist.grad, hist.hess, keys, entry_rows, grad, hess)
+    dim = out.shape[1]
+    for t in range(use):
+        root = tree_root[t]
+        depth = tree_depth[t]
+        for i in range(num):
+            pos = root
+            for _ in range(depth):
+                meta = packed[pos]
+                value = flat[(meta & FEATURE_MASK) * num + i]
+                go_right = value > threshold[pos]
+                if has_nan and value != value and (meta & MISS_BIT) != 0:
+                    go_right = True
+                pos = meta >> CHILD_SHIFT
+                if go_right:
+                    pos += 1
+            for c in range(dim):
+                out[i, c] += scaled[pos, c]
 
 
-class PyLoopBackend(KernelBackend):
-    """The numba kernels, interpreted — a correctness oracle, not a
-    performance backend (advisor prices it ~50x slower than numpy)."""
+def _k_predict_quantized(packed, threshold_bin, scaled, tree_root,
+                         tree_depth, flat_bins, num, has_missing, use,
+                         out):
+    """Quantized traversal: uint8 bin values against int16 bin cuts.
 
-    name = "pyloop"
-    compute_factor = 0.02
-    priority = -1
+    Bin 255 marks a missing value and follows the packed default
+    direction; leaf slots carry threshold 255 so every bin value parks
+    (``value > 255`` is false even for the missing sentinel).
+    """
+    dim = out.shape[1]
+    for t in range(use):
+        root = tree_root[t]
+        depth = tree_depth[t]
+        for i in range(num):
+            pos = root
+            for _ in range(depth):
+                meta = packed[pos]
+                value = flat_bins[(meta & FEATURE_MASK) * num + i]
+                if has_missing and value == MISSING_BIN:
+                    go_right = (meta & MISS_BIT) != 0 \
+                        and threshold_bin[pos] != MISSING_BIN
+                else:
+                    go_right = value > threshold_bin[pos]
+                pos = meta >> CHILD_SHIFT
+                if go_right:
+                    pos += 1
+            for c in range(dim):
+                out[i, c] += scaled[pos, c]
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._kernels = LOOP_KERNELS
 
-    @classmethod
-    def version(cls) -> str:
-        return "interpreted loop kernels (reference)"
+class LoopKernels(NumpyKernels):
+    """The scatter and whole-ensemble traversal as interpreted loops —
+    the reference the numpy kernels are tested against, never a
+    training engine.  ``advance`` (one tree, used by the sharded fold)
+    stays the inherited numpy path."""
 
-    def scatter(self, hist, keys, entry_rows, grad, hess, size,
-                hess_const=None):
-        _loop_scatter_dispatch(self, hist, keys, entry_rows, grad, hess,
-                               size, hess_const)
+    def scatter(self, hist, keys, entry_rows, grad, hess, size):
+        # the loops add in place, so zero first: every bin of an
+        # un-zeroed pooled buffer must still be written
+        hist.grad[:] = 0.0
+        hist.hess[:] = 0.0
+        _k_scatter(hist.grad, hist.hess, keys, entry_rows, grad, hess)
 
     def scatter_slotted(self, hists, keys, entry_rows, grad, hess, size,
-                        num_slots, hess_const=None):
+                        num_slots):
         # slot-prefixed keys address one logical (num_slots*size, C)
         # histogram; scatter into a contiguous scratch pair, then slice
-        # per slot — the same arithmetic the numba kernel vectorizes
         total = num_slots * size
         dim = grad.shape[1]
-        grad_out = self._buf("slot_grad", total * dim,
-                             np.float64).reshape(total, dim)
-        hess_out = self._buf("slot_hess", total * dim,
-                             np.float64).reshape(total, dim)
+        grad_out = self._scratch.get("slot_grad", total * dim,
+                                     np.float64).reshape(total, dim)
+        hess_out = self._scratch.get("slot_hess", total * dim,
+                                     np.float64).reshape(total, dim)
         grad_out[:] = 0.0
         hess_out[:] = 0.0
-        if hess_const is not None and hess_const == 1.0:
-            self._kernels["scatter_no_hess"](grad_out, hess_out, keys,
-                                             entry_rows, grad, hess_const)
-        else:
-            self._kernels["scatter"](grad_out, hess_out, keys, entry_rows,
-                                     grad, hess)
+        _k_scatter(grad_out, hess_out, keys, entry_rows, grad, hess)
         for s, hist in enumerate(hists):
             hist.grad[:] = grad_out[s * size:(s + 1) * size]
             hist.hess[:] = hess_out[s * size:(s + 1) * size]
@@ -452,189 +299,15 @@ class PyLoopBackend(KernelBackend):
     def raw_scores(self, packed, threshold, scaled, tree_root, tree_depth,
                    flat, num, has_nan, use):
         out = np.zeros((num, scaled.shape[1]), dtype=np.float64)
-        self._kernels["predict"](packed, threshold, scaled, tree_root,
-                                 tree_depth, flat, num, has_nan, use, out)
+        _k_predict(packed, threshold, scaled, tree_root, tree_depth, flat,
+                   num, has_nan, use, out)
         return out
 
     def raw_scores_quantized(self, packed, threshold_bin, scaled,
                              tree_root, tree_depth, flat_bins, num,
                              has_missing, use):
         out = np.zeros((num, scaled.shape[1]), dtype=np.float64)
-        self._kernels["predict_quantized"](
-            packed, threshold_bin, scaled, tree_root, tree_depth,
-            flat_bins, num, has_missing, use, out)
+        _k_predict_quantized(packed, threshold_bin, scaled, tree_root,
+                             tree_depth, flat_bins, num, has_missing, use,
+                             out)
         return out
-
-
-#: compiled kernel cache shared by every NumbaBackend instance
-_NUMBA_KERNELS: Optional[Dict[str, object]] = None
-
-
-def _compile_numba_kernels() -> Dict[str, object]:
-    """JIT-compile the loop kernels once per process.
-
-    ``fastmath`` is off and loops stay in storage order, so the
-    compiled kernels perform the identical float additions as the
-    interpreted (and numpy) paths — the bit-identity contract.
-    """
-    global _NUMBA_KERNELS
-    if _NUMBA_KERNELS is None:
-        import numba
-
-        jit = numba.njit(cache=True, fastmath=False, nogil=True)
-        _NUMBA_KERNELS = {
-            name: jit(fn) for name, fn in LOOP_KERNELS.items()
-        }
-    return _NUMBA_KERNELS
-
-
-class NumbaBackend(PyLoopBackend):
-    """JIT-compiled loop kernels (sklearn hist-GBDT shape).
-
-    Same algorithms as ``pyloop`` — per-feature unrolled-by-4 scatter
-    over precomposed int64 keys of uint8-range binned columns, the
-    no-hessian fast path, allocation-free writes into pooled buffers —
-    but compiled by numba/LLVM.  Auto-detected; constructing it without
-    numba installed raises :class:`BackendUnavailableError`.
-    """
-
-    name = "numba"
-    compute_factor = 2.5  # pinned by bench/backend_bench.py --check
-    priority = 10
-
-    def __init__(self) -> None:
-        if not self.is_available():
-            raise BackendUnavailableError(
-                "numba backend requested but numba is not importable "
-                f"(or disabled via {DISABLE_ENV})"
-            )
-        KernelBackend.__init__(self)
-        self._kernels = _compile_numba_kernels()
-
-    @classmethod
-    def is_available(cls) -> bool:
-        if cls.name in _disabled():
-            return False
-        try:
-            import numba  # noqa: F401
-        except Exception:
-            return False
-        return True
-
-    @classmethod
-    def version(cls) -> str:
-        import llvmlite
-        import numba
-
-        return f"numba {numba.__version__}, llvmlite {llvmlite.__version__}"
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-class BackendUnavailableError(RuntimeError):
-    """A known backend whose toolchain is not importable here."""
-
-
-#: registry key -> backend class
-BACKENDS: Dict[str, Type[KernelBackend]] = {}
-
-
-def register_backend(cls: Type[KernelBackend]) -> Type[KernelBackend]:
-    """Add a backend class to the registry (idempotent by name)."""
-    BACKENDS[cls.name] = cls
-    return cls
-
-
-for _cls in (NumpyBackend, PyLoopBackend, NumbaBackend):
-    register_backend(_cls)
-
-#: the always-available portable default
-DEFAULT_BACKEND = "numpy"
-
-
-def backend_names() -> List[str]:
-    """Registered backend names, registry order."""
-    return list(BACKENDS)
-
-
-def available_backends() -> List[str]:
-    """Names of backends whose toolchain imports on this machine."""
-    return [name for name, cls in BACKENDS.items() if cls.is_available()]
-
-
-def resolve_backend_name(name: str = "") -> str:
-    """Canonical backend name for a config string.
-
-    Empty means the portable default; ``"auto"`` picks the
-    highest-priority available backend (numba when installed).
-    """
-    if not name:
-        return DEFAULT_BACKEND
-    if name == "auto":
-        best = max(
-            (cls for cls in BACKENDS.values() if cls.is_available()),
-            key=lambda cls: cls.priority,
-            default=NumpyBackend,
-        )
-        return best.name
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; known: "
-            f"{', '.join(sorted(BACKENDS))} (or 'auto')"
-        )
-    return name
-
-
-def make_backend(name: "str | KernelBackend | None" = None) -> KernelBackend:
-    """A fresh backend instance for a name, ``None``/``""``, ``"auto"``,
-    or an already-constructed instance (returned as-is)."""
-    if isinstance(name, KernelBackend):
-        return name
-    canonical = resolve_backend_name(name or "")
-    cls = BACKENDS[canonical]
-    if not cls.is_available():
-        raise BackendUnavailableError(
-            f"kernel backend {canonical!r} is not available on this "
-            f"machine (available: {', '.join(available_backends())})"
-        )
-    return cls()
-
-
-def compute_factor(name: str = "") -> float:
-    """Relative histogram-kernel throughput vs numpy (advisor pricing)."""
-    return BACKENDS[resolve_backend_name(name)].compute_factor
-
-
-@dataclass(frozen=True)
-class BackendInfo:
-    """One row of ``repro doctor``'s detection report."""
-
-    name: str
-    available: bool
-    version: str
-    default: bool
-
-    def describe(self) -> str:
-        state = "available" if self.available else "not available"
-        tag = " (default)" if self.default else ""
-        return f"{self.name}: {state} — {self.version}{tag}"
-
-
-def detect_backends() -> List[BackendInfo]:
-    """Availability + toolchain version of every registered backend."""
-    infos = []
-    for name, cls in BACKENDS.items():
-        available = cls.is_available()
-        if available:
-            try:
-                version = cls.version()
-            except Exception as exc:  # pragma: no cover - defensive
-                available, version = False, f"version probe failed: {exc}"
-        else:
-            version = ("disabled via " + DISABLE_ENV
-                       if name in _disabled() else "toolchain not importable")
-        infos.append(BackendInfo(name, available, version,
-                                 default=name == DEFAULT_BACKEND))
-    return infos

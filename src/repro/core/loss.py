@@ -38,13 +38,6 @@ class Loss:
     #: gradient dimension per instance
     num_outputs: int = 1
 
-    #: the per-instance hessian value when it is the same for every
-    #: instance and iteration (``None`` otherwise).  Trainers forward it
-    #: to the histogram builder so loop backends can take the no-hessian
-    #: fast path: the hessian histogram is just the bin count times this
-    #: constant.
-    constant_hessian: "float | None" = None
-
     def init_scores(self, num_instances: int) -> np.ndarray:
         """Initial raw scores before any tree is trained (all zeros)."""
         return np.zeros((num_instances, self.num_outputs), dtype=np.float64)
@@ -123,7 +116,6 @@ class SquareLoss(Loss):
     """Mean squared error for regression."""
 
     num_outputs = 1
-    constant_hessian = 1.0
 
     def gradients(
         self, labels: np.ndarray, scores: np.ndarray

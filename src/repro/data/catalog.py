@@ -69,16 +69,22 @@ CATALOG: Dict[str, CatalogEntry] = {
 }
 
 
+def get_entry(name: str) -> CatalogEntry:
+    """The catalog entry of a surrogate name (``KeyError`` if unknown)."""
+    found = CATALOG.get(name)
+    if found is None:
+        known = ", ".join(sorted(CATALOG))
+        raise KeyError(f"unknown dataset {name!r}; known: {known}")
+    return found
+
+
 def load(name: str, scale: float = 1.0) -> Dataset:
     """Generate a surrogate dataset by catalog name.
 
     ``scale`` multiplies the instance count (useful for quick tests:
     ``load("rcv1", scale=0.1)``).
     """
-    entry = CATALOG.get(name)
-    if entry is None:
-        known = ", ".join(sorted(CATALOG))
-        raise KeyError(f"unknown dataset {name!r}; known: {known}")
+    entry = get_entry(name)
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale}")
     num_instances = max(int(round(entry.num_instances * scale)), 64)

@@ -36,7 +36,7 @@ DIMENSION_PREFIXES = ("migrate:", "retry:", "recovery:")
 
 
 def run_report(result, system: str = "", dataset: str = "",
-               codec: str = "", backend: str = "") -> dict:
+               codec: str = "") -> dict:
     """The JSON-ready report of one :class:`DistTrainResult`."""
     comm = result.comm
     phases: Dict[str, float] = {}
@@ -54,7 +54,6 @@ def run_report(result, system: str = "", dataset: str = "",
         "system": system,
         "dataset": dataset,
         "codec": codec,
-        "backend": backend,
         "num_trees": len(result.tree_reports),
         "plan_history": list(result.plan_history),
         "total_modeled_seconds": result.total_modeled_seconds(),
@@ -316,10 +315,8 @@ def format_report(report: dict) -> str:
         f"  trees: {report['num_trees']}"
         f"   plans: {' -> '.join(report['plan_history']) or '?'}"
     )
-    extras = [f"{key}={report[key]}" for key in ("codec", "backend")
-              if report.get(key)]
-    if extras:
-        lines.append(f"  {'   '.join(extras)}")
+    if report.get("codec"):
+        lines.append(f"  codec={report['codec']}")
     lines.append(
         f"  modeled time: {report['total_modeled_seconds']:.4f} s"
         f"  (compute {report['comp_seconds']:.4f} s"

@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.kernels import MISSING_BIN, make_backend
+from ..core.kernels import MISSING_BIN, NumpyKernels
 from ..core import kernels as _kernels
 from ..core.tree import Tree, TreeEnsemble
 from ..data.matrix import CSCMatrix, CSRMatrix
@@ -48,8 +48,8 @@ from ..data.matrix import CSCMatrix, CSRMatrix
 FeatureBatch = Union[CSCMatrix, CSRMatrix, np.ndarray]
 
 # packed slot metadata: | left slot (43 bits) | miss_right (1) | feature (20) |
-# (defined in repro.core.kernels, which the traversal kernels compile
-# against; aliased here because the compiler is where they are produced)
+# (defined in repro.core.kernels, which the traversal kernels decode;
+# aliased here because the compiler is where they are produced)
 _FEATURE_BITS = _kernels.FEATURE_BITS
 _FEATURE_MASK = _kernels.FEATURE_MASK
 _MISS_BIT = _kernels.MISS_BIT
@@ -85,10 +85,11 @@ class CompiledEnsemble:
                  left: np.ndarray, right: np.ndarray,
                  default_left: np.ndarray, leaf_slot: np.ndarray,
                  leaf_weights: np.ndarray, tree_root: np.ndarray,
-                 tree_depth: np.ndarray, backend=None) -> None:
-        #: the kernel engine running the traversal (bit-identical across
-        #: backends; see repro.core.kernels)
-        self.backend = make_backend(backend)
+                 tree_depth: np.ndarray,
+                 kernels: Optional[NumpyKernels] = None) -> None:
+        #: the traversal engine (``None`` means numpy; tests pass the
+        #: :class:`~repro.core.kernels.LoopKernels` oracle)
+        self.kernels = kernels if kernels is not None else NumpyKernels()
         self.num_trees = num_trees
         self.gradient_dim = gradient_dim
         self.learning_rate = learning_rate
@@ -220,13 +221,12 @@ class CompiledEnsemble:
 
     def _advance(self, flat: np.ndarray, num: int, tree: int,
                  has_nan: bool) -> np.ndarray:
-        """Slot of every row after walking one whole tree (backend
-        dispatch).
+        """Slot of every row after walking one whole tree.
 
         ``flat`` is the feature-major batch flattened, so row ``i``'s
         value of feature ``f`` lives at ``f * num + i``.
         """
-        return self.backend.advance(self._packed, self.threshold, flat,
+        return self.kernels.advance(self._packed, self.threshold, flat,
                                     num, int(self.tree_root[tree]),
                                     int(self.tree_depth[tree]), has_nan)
 
@@ -240,7 +240,7 @@ class CompiledEnsemble:
         has_nan = bool(np.isnan(transposed).any())
         use = (self.num_trees if num_trees is None
                else min(num_trees, self.num_trees))
-        return self.backend.raw_scores(
+        return self.kernels.raw_scores(
             self._packed, self.threshold, self._scaled_by_slot,
             self.tree_root, self.tree_depth, flat, num, has_nan, use,
         )
@@ -272,22 +272,15 @@ class CompiledEnsemble:
         flat = transposed.reshape(-1)
         has_nan = bool(np.isnan(transposed).any())
         for t in range(self.num_trees):
-            pos = self.backend.advance(
+            pos = self.kernels.advance(
                 self._packed, self.threshold, flat, num,
                 int(self.tree_root[t]), int(self.tree_depth[t]), has_nan)
             out += np.take(self._scaled_by_slot, pos, axis=0)
         return out
 
 
-def compile_ensemble(ensemble: TreeEnsemble,
-                     backend=None) -> CompiledEnsemble:
-    """Lower a node-dict ensemble into a :class:`CompiledEnsemble`.
-
-    ``backend`` selects the traversal kernel engine (a
-    :mod:`repro.core.kernels` registry name, an instance, or ``None``
-    for the portable numpy default); every backend routes and
-    accumulates bit-identically.
-    """
+def compile_ensemble(ensemble: TreeEnsemble) -> CompiledEnsemble:
+    """Lower a node-dict ensemble into a :class:`CompiledEnsemble`."""
     slots: List[dict] = []
     leaf_weights: List[np.ndarray] = []
     tree_root = np.zeros(len(ensemble.trees) + 1, dtype=np.int32)
@@ -327,7 +320,6 @@ def compile_ensemble(ensemble: TreeEnsemble,
         leaf_weights=weights,
         tree_root=tree_root,
         tree_depth=tree_depth,
-        backend=backend,
     )
 
 
@@ -461,7 +453,7 @@ def slice_trees(compiled: CompiledEnsemble, start: int,
         tree_root=(compiled.tree_root[start:stop + 1]
                    - np.int32(lo)).astype(np.int32),
         tree_depth=tree_depth,
-        backend=compiled.backend,
+        kernels=compiled.kernels,
     )
 
 
@@ -509,11 +501,12 @@ class QuantizedEnsemble:
     """
 
     def __init__(self, compiled: CompiledEnsemble,
-                 cuts: Sequence[np.ndarray], backend=None) -> None:
+                 cuts: Sequence[np.ndarray],
+                 kernels: Optional[NumpyKernels] = None) -> None:
         self.compiled = compiled
         self.cuts = [np.asarray(c, dtype=np.float64) for c in cuts]
-        self.backend = (make_backend(backend) if backend is not None
-                        else compiled.backend)
+        #: the traversal engine (``None`` shares the compiled ensemble's)
+        self.kernels = kernels if kernels is not None else compiled.kernels
         for f, c in enumerate(self.cuts):
             if c.size > _MAX_BIN:
                 raise ValueError(
@@ -554,8 +547,7 @@ class QuantizedEnsemble:
     def __repr__(self) -> str:
         return (
             f"QuantizedEnsemble(trees={self.num_trees}, "
-            f"slots={self.compiled.num_slots}, "
-            f"backend={self.backend.name!r})"
+            f"slots={self.compiled.num_slots})"
         )
 
     def bin_batch(self, features: FeatureBatch) -> np.ndarray:
@@ -586,7 +578,7 @@ class QuantizedEnsemble:
         has_missing = bool((binned == MISSING_BIN).any())
         use = (self.num_trees if num_trees is None
                else min(num_trees, self.num_trees))
-        return self.backend.raw_scores_quantized(
+        return self.kernels.raw_scores_quantized(
             self.compiled._packed, self.threshold_bin,
             self.compiled._scaled_by_slot, self.compiled.tree_root,
             self.compiled.tree_depth, flat_bins, num, has_missing, use,
@@ -601,8 +593,7 @@ class QuantizedEnsemble:
 
 
 def quantize_ensemble(compiled: CompiledEnsemble,
-                      cuts: Sequence[np.ndarray],
-                      backend=None) -> QuantizedEnsemble:
+                      cuts: Sequence[np.ndarray]) -> QuantizedEnsemble:
     """Rewrite a compiled ensemble's thresholds to bin indices.
 
     ``cuts`` are the per-feature cut arrays of the
@@ -610,4 +601,4 @@ def quantize_ensemble(compiled: CompiledEnsemble,
     (``binned.cuts``).  Raises if any threshold is off the bin grid or a
     feature exceeds 254 bins.
     """
-    return QuantizedEnsemble(compiled, cuts, backend=backend)
+    return QuantizedEnsemble(compiled, cuts)

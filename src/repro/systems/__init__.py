@@ -109,37 +109,10 @@ def make_adaptive_session(
     4 when that is 0) and migrates whenever the projected savings over
     the remaining trees exceed the migration bill by ``margin``.
     """
-    session = TrainingSession(
-        _adaptive_start_system(config, cluster, train, start_plan),
-        train, valid=valid,
-    )
-    binned = session.binned
-    shape = WorkloadShape(
-        num_instances=binned.num_instances,
-        num_features=binned.num_features,
-        num_workers=cluster.num_workers,
-        num_layers=config.num_layers,
-        num_candidates=config.num_candidates,
-        num_classes=config.gradient_dim,
-    )
-    avg_nnz = binned.binned.nnz / max(binned.num_instances, 1)
-    session.policy = AdaptivePolicy(
-        shape, avg_nnz, cluster.network,
-        every=every if every is not None else (config.adapt or 4),
-        margin=margin,
-        codec=config.codec or "none",
-    )
-    return session
-
-
-def _adaptive_start_system(config, cluster, train, start_plan):
-    key = start_plan or config.plan
-    if key and key != "auto-adapt":
-        return get_plan(key).build(config, cluster)
-    # no opening plan named: let the prior cost model pick one (the
-    # session migrates away later if the calibrated model disagrees)
     from ..data.dataset import BinnedDataset, bin_dataset
 
+    # bin once: the opening-plan verdict, the policy's workload shape
+    # and the session all read the same quantized training set
     binned = train if isinstance(train, BinnedDataset) \
         else bin_dataset(train, config.num_candidates)
     shape = WorkloadShape(
@@ -151,10 +124,21 @@ def _adaptive_start_system(config, cluster, train, start_plan):
         num_classes=config.gradient_dim,
     )
     avg_nnz = binned.binned.nnz / max(binned.num_instances, 1)
-    verdict = recommend(shape, avg_nnz, cluster.network,
-                        codec=config.codec or "none",
-                        backend=config.backend)
-    return get_plan(verdict.best.plan_key).build(config, cluster)
+    key = start_plan or config.plan
+    if not key or key == "auto-adapt":
+        # no opening plan named: let the prior cost model pick one (the
+        # session migrates away later if the calibrated model disagrees)
+        key = recommend(shape, avg_nnz, cluster.network,
+                        codec=config.codec or "none").best.plan_key
+    session = TrainingSession(get_plan(key).build(config, cluster),
+                              binned, valid=valid)
+    session.policy = AdaptivePolicy(
+        shape, avg_nnz, cluster.network,
+        every=every if every is not None else (config.adapt or 4),
+        margin=margin,
+        codec=config.codec or "none",
+    )
+    return session
 
 
 __all__ = [

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..config import NetworkModel
-from ..core.kernels import compute_factor
 from .costmodel import (WorkloadShape, expected_recovery_seconds_per_tree,
                         horizontal_comm_bytes_per_tree,
                         horizontal_comm_bytes_per_tree_encoded,
@@ -138,7 +137,6 @@ def estimate(
     scan_rate: float = DEFAULT_SCAN_RATE,
     crash_rate: float = 0.0,
     codec: str = "none",
-    backend: str = "",
 ) -> Dict[str, QuadrantEstimate]:
     """Per-tree cost estimates of all four quadrants.
 
@@ -152,11 +150,6 @@ def estimate(
     the encoded-byte formula at the workload's expected histogram
     density (the vertical quadrants' bitmap traffic is already minimal;
     the adaptive placement codec can only improve on it).
-
-    ``backend`` scales the effective scan rate by the kernel backend's
-    relative histogram throughput (numpy 1.0, numba the bench-pinned
-    speedup) — a faster backend shrinks every quadrant's compute term,
-    so network-bound and compute-bound verdicts can flip with it.
     """
     if avg_nnz_per_instance <= 0:
         raise ValueError("avg_nnz_per_instance must be > 0")
@@ -164,7 +157,6 @@ def estimate(
         raise ValueError("scan_rate must be > 0")
     if network is None:
         network = NetworkModel()
-    scan_rate = scan_rate * compute_factor(backend)
     accesses = _access_counts(shape, avg_nnz_per_instance)
     if codec == "none":
         horizontal_bytes = horizontal_comm_bytes_per_tree(shape)
@@ -228,7 +220,6 @@ def recommend(
     scan_rate: float = DEFAULT_SCAN_RATE,
     crash_rate: float = 0.0,
     codec: str = "none",
-    backend: str = "",
 ) -> Recommendation:
     """Pick the cheapest feasible quadrant for a workload.
 
@@ -244,8 +235,7 @@ def recommend(
     reports the projected byte reduction of every codec either way.
     """
     estimates = estimate(shape, avg_nnz_per_instance, network, scan_rate,
-                         crash_rate=crash_rate, codec=codec,
-                         backend=backend)
+                         crash_rate=crash_rate, codec=codec)
     reasons: List[str] = []
     feasible = []
     for est in estimates.values():
@@ -293,12 +283,6 @@ def recommend(
     if codec != "none":
         reasons.append(
             f"horizontal aggregation priced with the {codec!r} codec"
-        )
-    if backend and backend != "numpy":
-        factor = compute_factor(backend)
-        reasons.append(
-            f"compute priced for the {backend!r} kernel backend "
-            f"({factor:g}x the numpy scan rate)"
         )
     return Recommendation(best=best, ranking=ranking, reasons=reasons,
                           codec_projections=projections)

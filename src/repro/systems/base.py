@@ -264,11 +264,8 @@ class DistributedGBDT:
         self.codec = get_codec_stack(config.codec)
         self.loss: Loss = make_loss(config.objective, config.num_classes)
         # workspace-owning kernel engine shared by the simulated workers;
-        # its pool recycles per-node histogram buffers across layers/trees,
-        # and config.backend picks the scatter kernel implementation
-        self.hist_builder = HistogramBuilder(
-            backend=config.backend or None)
-        self.hist_builder.constant_hessian = self.loss.constant_hessian
+        # its pool recycles per-node histogram buffers across layers/trees
+        self.hist_builder = HistogramBuilder()
 
     # -- subclass contract -----------------------------------------------------
 

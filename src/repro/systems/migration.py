@@ -195,7 +195,6 @@ class PlanMigrator:
         new.codec = old.codec
         dropped = old.hist_builder.pool.reset()
         new.hist_builder = old.hist_builder
-        new.hist_builder.constant_hessian = new.loss.constant_hessian
         # session-wide recovery trail: share the list across executors
         new.recovery_log = old.recovery_log
         new._binned = binned

@@ -1,14 +1,12 @@
-"""Kernel-backend registry and bit-identity contract tests.
+"""Numpy kernels against the interpreted loop oracle.
 
-The backend abstraction only earns its keep if every registered backend
-is a *drop-in* replacement: same bits out of the scatter kernels, same
-trees out of training, same scores out of serving.  These tests pin the
-registry mechanics (resolution, auto-detection, the
-``REPRO_DISABLE_BACKENDS`` mask, graceful degradation when numba is
-absent), the HistogramPool dtype keying regression, the no-hessian fast
-path, and a hypothesis sweep proving exact scatter equality on random
-binned datasets — dense, sparse, and missing-heavy — for every backend
-the machine can import.
+Every quadrant runs on :class:`~repro.core.kernels.NumpyKernels`; the
+:class:`~repro.core.kernels.LoopKernels` oracle computes the same
+scatters and traversals as plain per-entry loops.  These tests pin exact
+equality between the two — scatter bins on random binned datasets
+(dense, sparse and missing-heavy), trained models on all 8 execution
+plans, and compiled scores — plus the HistogramPool dtype keying and
+the grow-only scratch buffers the kernels run on.
 """
 
 from __future__ import annotations
@@ -18,92 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import TrainConfig
+from repro.config import ClusterConfig, TrainConfig
 from repro.core.gbdt import GBDT
 from repro.core.histogram import (ColumnwiseIndex, Histogram,
                                   HistogramBuilder, HistogramPool)
-from repro.core.kernels import (BACKENDS, DISABLE_ENV, BackendUnavailableError,
-                                NumbaBackend, available_backends,
-                                backend_names, compute_factor,
-                                detect_backends, make_backend,
-                                resolve_backend_name)
-from repro.core.loss import make_loss
+from repro.core.kernels import LoopKernels, NumpyKernels, Scratch
+from repro.core.serialize import ensemble_to_dict
 from repro.data.dataset import Dataset, bin_dataset
 from repro.data.synthetic import make_classification
-from repro.selfcheck import check_available_backends, check_backend
+from repro.serve.compiler import compile_ensemble
+from repro.systems.plans import get_plan, plan_keys
 
 from .test_hist_builder import make_binned
 
-#: every backend this machine can actually run, numpy first
-AVAILABLE = available_backends()
-#: the non-reference backends under bit-identity test
-CANDIDATES = [b for b in AVAILABLE if b != "numpy"]
-
-
-class TestRegistry:
-    def test_numpy_always_registered_and_available(self):
-        assert "numpy" in backend_names()
-        assert "numpy" in AVAILABLE
-        assert AVAILABLE[0] == "numpy"
-
-    def test_all_three_backends_registered(self):
-        for name in ("numpy", "pyloop", "numba"):
-            assert name in backend_names()
-
-    def test_resolve_default_and_aliases(self):
-        assert resolve_backend_name("") == "numpy"
-        assert resolve_backend_name(None) == "numpy"
-        assert resolve_backend_name("numpy") == "numpy"
-
-    def test_resolve_auto_prefers_highest_priority(self):
-        best = resolve_backend_name("auto")
-        assert best in AVAILABLE
-        priorities = {n: BACKENDS[n].priority for n in AVAILABLE}
-        assert priorities[best] == max(priorities.values())
-
-    def test_resolve_unknown_raises_with_choices(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend_name("cuda")
-
-    def test_make_backend_accepts_instance_and_none(self):
-        backend = make_backend("numpy")
-        assert make_backend(backend) is backend
-        assert make_backend(None).name == "numpy"
-
-    def test_unavailable_backend_raises(self, monkeypatch):
-        monkeypatch.setattr(NumbaBackend, "is_available",
-                            classmethod(lambda cls: False))
-        with pytest.raises(BackendUnavailableError, match="numba"):
-            make_backend("numba")
-
-    def test_disable_env_masks_backends(self, monkeypatch):
-        monkeypatch.setenv(DISABLE_ENV, "pyloop,numba")
-        masked = available_backends()
-        assert "pyloop" not in masked
-        assert "numba" not in masked
-        assert "numpy" in masked
-        # auto never resolves to a masked backend
-        assert resolve_backend_name("auto") == "numpy"
-        # and the mask cannot hide the numpy baseline
-        monkeypatch.setenv(DISABLE_ENV, "numpy")
-        assert "numpy" in available_backends()
-
-    def test_compute_factor(self):
-        assert compute_factor("") == 1.0
-        assert compute_factor("numpy") == 1.0
-        assert compute_factor("numba") > 1.0
-        assert compute_factor("pyloop") < 1.0
-
-    def test_detect_backends_reports_all(self):
-        infos = {i.name: i for i in detect_backends()}
-        assert set(infos) == set(backend_names())
-        assert infos["numpy"].available
-        assert infos["numpy"].default
-        for info in infos.values():
-            line = info.describe()
-            assert info.name in line
-            if not info.available:
-                assert "not available" in line
+#: the kernel engines under bit-identity test (numpy is the reference)
+KERNELS = [pytest.param(NumpyKernels, id="numpy"),
+           pytest.param(LoopKernels, id="pyloop")]
 
 
 class TestHistogramPoolDtypeKeying:
@@ -130,7 +58,26 @@ class TestHistogramPoolDtypeKeying:
         assert copy.grad.dtype == np.float32
 
 
-@pytest.mark.parametrize("backend", CANDIDATES)
+class TestScratch:
+    def test_grows_and_reuses(self):
+        scratch = Scratch()
+        small = scratch.get("k", 10, np.int64)
+        assert small.shape == (10,) and small.dtype == np.int64
+        # capacity is at least 1024, so a larger request reuses it
+        assert np.shares_memory(small, scratch.get("k", 1000, np.int64))
+        grown = scratch.get("k", 5000, np.int64)
+        assert grown.size == 5000
+        assert not np.shares_memory(small, grown)
+
+    def test_arange_fill_is_a_ramp(self):
+        scratch = Scratch()
+        assert np.array_equal(scratch.get("iota", 5, np.int64,
+                                          make=np.arange), np.arange(5))
+        big = scratch.get("iota", 3000, np.int64, make=np.arange)
+        assert np.array_equal(big, np.arange(3000))
+
+
+@pytest.mark.parametrize("kernels", KERNELS)
 class TestScatterBitIdentity:
     """Exact scatter equality vs numpy on random binned shards."""
 
@@ -138,7 +85,7 @@ class TestScatterBitIdentity:
     @given(seed=st.integers(0, 2**32 - 1),
            density=st.floats(0.05, 0.95),
            gradient_dim=st.sampled_from([1, 3]))
-    def test_all_four_kernels_exact(self, backend, seed, density,
+    def test_all_four_kernels_exact(self, kernels, seed, density,
                                     gradient_dim):
         rng = np.random.default_rng(seed)
         num_rows, num_features, num_bins = 50, 7, 6
@@ -150,8 +97,8 @@ class TestScatterBitIdentity:
         hess = rng.random((num_rows, gradient_dim))
         node_of = rng.integers(0, 2, size=num_rows).astype(np.int64)
         node_rows = np.flatnonzero(node_of == 1).astype(np.int64)
-        ref = HistogramBuilder(backend="numpy")
-        got = HistogramBuilder(backend=backend)
+        ref = HistogramBuilder()
+        got = HistogramBuilder(kernels=kernels())
 
         pairs = []
         pairs.append((ref.build_rowstore(csr, node_rows, grad, hess,
@@ -177,24 +124,27 @@ class TestScatterBitIdentity:
             assert np.array_equal(expect.grad, actual.grad)
             assert np.array_equal(expect.hess, actual.hess)
 
-    def test_no_hessian_fast_path_exact(self, backend):
-        """With ``constant_hessian == 1.0`` (square loss) the hessian
-        histogram is a bin count; the fast path must still be exact."""
-        rng = np.random.default_rng(3)
-        csr, _ = make_binned(rng, num_rows=80, num_features=6, num_bins=5,
-                             density=0.5)
-        grad = rng.standard_normal((80, 1))
-        hess = np.ones((80, 1))
-        rows = np.arange(0, 80, 3, dtype=np.int64)
-        generic = HistogramBuilder(backend=backend)
-        fast = HistogramBuilder(backend=backend)
-        fast.constant_hessian = 1.0
-        via_generic, _ = generic.build_rowstore(csr, rows, grad, hess, 5)
-        via_fast, _ = fast.build_rowstore(csr, rows, grad, hess, 5)
-        assert np.array_equal(via_generic.grad, via_fast.grad)
-        assert np.array_equal(via_generic.hess, via_fast.hess)
+    def test_scatter_overwrites_unzeroed_buffers(self, kernels):
+        """Pooled buffers come back un-zeroed: the scatter must assign
+        every bin, not add into whatever the last node left there."""
+        rng = np.random.default_rng(5)
+        csr, _ = make_binned(rng, num_rows=30, num_features=4, num_bins=5,
+                             density=0.3)
+        grad = rng.standard_normal((30, 2))
+        hess = rng.random((30, 2))
+        rows = np.arange(0, 30, 2, dtype=np.int64)
+        builder = HistogramBuilder(kernels=kernels())
+        clean, _ = builder.build_rowstore(csr, rows, grad, hess, 5)
+        expect_grad, expect_hess = clean.grad.copy(), clean.hess.copy()
+        clean.grad.fill(np.nan)
+        clean.hess.fill(7.0)
+        builder.release(clean)
+        dirty, _ = builder.build_rowstore(csr, rows, grad, hess, 5)
+        assert dirty is clean
+        assert np.array_equal(dirty.grad, expect_grad)
+        assert np.array_equal(dirty.hess, expect_hess)
 
-    def test_training_bit_identical(self, backend):
+    def test_training_bit_identical(self, kernels):
         """End-to-end: identical trees for logistic and square loss."""
         clf = make_classification(250, 15, density=0.4, seed=21)
         reg = Dataset(clf.features,
@@ -202,67 +152,43 @@ class TestScatterBitIdentity:
                       task="regression", name="kernels-reg")
         for dataset, objective in ((clf, "binary"), (reg, "regression")):
             binned = bin_dataset(dataset, 10)
-            models = {}
-            for name in ("numpy", backend):
-                cfg = TrainConfig(num_trees=3, num_layers=4,
-                                  num_candidates=10, objective=objective,
-                                  backend=name)
-                models[name] = GBDT(cfg).fit(dataset, binned=binned)
-            ref = models["numpy"].ensemble.raw_scores(dataset.csc())
-            got = models[backend].ensemble.raw_scores(dataset.csc())
-            assert np.array_equal(ref, got)
+            cfg = TrainConfig(num_trees=3, num_layers=4, num_candidates=10,
+                              objective=objective)
+            ref = GBDT(cfg).fit(dataset, binned=binned)
+            got = GBDT(cfg, builder=HistogramBuilder(kernels=kernels())
+                       ).fit(dataset, binned=binned)
+            assert np.array_equal(ref.ensemble.raw_scores(dataset.csc()),
+                                  got.ensemble.raw_scores(dataset.csc()))
+
+    def test_compiled_scores_exact(self, kernels):
+        """The float compiled predictor and the naive tree walk agree."""
+        dataset = make_classification(200, 12, density=0.5, seed=4)
+        cfg = TrainConfig(num_trees=3, num_layers=4, num_candidates=8)
+        ensemble = GBDT(cfg).fit(dataset).ensemble
+        compiled = compile_ensemble(ensemble)
+        compiled.kernels = kernels()
+        batch = dataset.csc()
+        assert np.array_equal(compiled.raw_scores(batch),
+                              ensemble.raw_scores(batch))
+
+
+@pytest.mark.parametrize("plan_key", plan_keys())
+def test_plan_trains_same_model_on_oracle(plan_key):
+    """Every registry plan trains one model on both kernel engines."""
+    binned = bin_dataset(make_classification(200, 12, density=0.4, seed=7),
+                         8)
+    cfg = TrainConfig(num_trees=2, num_layers=4, num_candidates=8)
+    cluster = ClusterConfig(num_workers=3)
+    models = []
+    for kernels in (NumpyKernels(), LoopKernels()):
+        system = get_plan(plan_key).build(cfg, cluster)
+        system.hist_builder = HistogramBuilder(kernels=kernels)
+        models.append(ensemble_to_dict(system.fit(binned).ensemble))
+    assert models[0] == models[1]
 
 
 class TestBuilderWiring:
     def test_builder_defaults_to_numpy(self):
-        assert HistogramBuilder().backend.name == "numpy"
-
-    def test_trainer_threads_backend_and_hessian(self):
-        cfg = TrainConfig(num_trees=1, num_layers=2, objective="regression",
-                          backend="numpy")
-        trainer = GBDT(cfg)
-        assert trainer.builder.backend.name == "numpy"
-        assert trainer.builder.constant_hessian == \
-            make_loss("regression", 2).constant_hessian == 1.0
-        assert GBDT(TrainConfig(num_trees=1)).builder.constant_hessian \
-            is None
-
-    def test_config_rejects_unknown_backend_at_build(self):
-        cfg = TrainConfig(num_trees=1, backend="tpu")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            GBDT(cfg)
-
-
-class TestSelfCheck:
-    def test_every_available_backend_passes(self):
-        results = check_available_backends()
-        assert [r.backend for r in results] == AVAILABLE
-        for result in results:
-            assert result.passed, result.describe()
-            assert result.checks == 7
-            assert "bit-identical" in result.describe()
-
-    def test_unknown_backend_fails_cleanly(self):
-        result = check_backend("cuda")
-        assert not result.passed
-        assert "construction failed" in result.detail
-
-    def test_miscompare_detected(self, monkeypatch):
-        """A backend that computes different bits must be flagged."""
-        from repro.core.kernels import PyLoopBackend
-
-        if "pyloop" not in available_backends():
-            pytest.skip("pyloop masked on this run")
-
-        original = PyLoopBackend.scatter
-
-        def corrupt(self, hist, keys, entry_rows, grad, hess, size,
-                    hess_const=None):
-            original(self, hist, keys, entry_rows, grad, hess, size,
-                     hess_const=hess_const)
-            hist.grad += 1e-9
-
-        monkeypatch.setattr(PyLoopBackend, "scatter", corrupt)
-        result = check_backend("pyloop")
-        assert not result.passed
-        assert "diverged" in result.detail
+        assert type(HistogramBuilder().kernels) is NumpyKernels
+        oracle = LoopKernels()
+        assert HistogramBuilder(kernels=oracle).kernels is oracle

@@ -2,8 +2,8 @@
 
 The uint8 predictor is only admissible as an ablation if it is
 *bit-identical* to the float compiled path — these tests pin that on
-trained models (dense, sparse/missing-heavy, multiclass), across every
-importable kernel backend, through both the convenience float entry
+trained models (dense, sparse/missing-heavy, multiclass), on the numpy
+kernels and the loop oracle, through both the convenience float entry
 point and the pre-binned hot path.  The quantizer's refusal cases
 (off-grid thresholds, too many bins) are pinned too, because a silent
 mis-quantization would *look* like a speedup.
@@ -16,9 +16,10 @@ import pytest
 
 from repro.config import TrainConfig
 from repro.core.gbdt import GBDT
-from repro.core.kernels import MISSING_BIN, available_backends
+from repro.core.kernels import MISSING_BIN, LoopKernels, NumpyKernels
 from repro.data.dataset import bin_dataset
-from repro.serve import compile_ensemble, quantize_ensemble
+from repro.serve import (QuantizedEnsemble, compile_ensemble,
+                         quantize_ensemble)
 
 NUM_BINS = 16
 
@@ -51,12 +52,13 @@ class TestExactness:
         assert np.array_equal(compiled.raw_scores(batch),
                               quant.raw_scores(batch))
 
-    @pytest.mark.parametrize("backend",
-                             [b for b in available_backends()
-                              if b != "numpy"])
-    def test_backends_agree(self, small_sparse, backend):
+    @pytest.mark.parametrize("kernels", [
+        pytest.param(NumpyKernels, id="numpy"),
+        pytest.param(LoopKernels, id="pyloop"),
+    ])
+    def test_backends_agree(self, small_sparse, kernels):
         compiled, quant, binned = train_quantized(small_sparse)
-        alt = quantize_ensemble(compiled, binned.cuts, backend=backend)
+        alt = QuantizedEnsemble(compiled, binned.cuts, kernels=kernels())
         batch = small_sparse.csc()
         assert np.array_equal(quant.raw_scores(batch),
                               alt.raw_scores(batch))

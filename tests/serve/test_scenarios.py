@@ -329,6 +329,23 @@ class TestCliErrors:
          "unsupported model format version"),
         (["serve-bench", "--model", "{path}"], None,
          "No such file or directory"),
+        (["train", "--catalog", "rcv1-multi", "--plan", "qd2-ps"], None,
+         "does not support multi-classification"),
+        (["train", "--catalog", "higgs", "--workers", "0"], None,
+         "num_workers must be >= 1"),
+        (["train", "--catalog", "higgs", "--trees", "0"], None,
+         "num_trees must be >= 1, got 0"),
+        (["train", "--catalog", "higgs", "--layers", "0"], None,
+         "num_layers must be >= 2, got 0"),
+        (["train", "--catalog", "higgs", "--valid-fraction", "1.5"], None,
+         "--valid-fraction must be in (0, 1), got 1.5"),
+        (["train", "--catalog", "higgs", "--faults", "nonsense"], None,
+         "fault spec 'nonsense' must look like"),
+        (["train", "--catalog", "higgs", "--scale", "-1"], None,
+         "scale must be > 0, got -1.0"),
+        (["train", "--data", "{path}"], None, "No such file or directory"),
+        (["train", "--catalog", "higgs", "--workers", "2", "--faults",
+          "1:crash=99"], None, "above the recovery budget"),
     ])
     def test_other_commands_one_line_and_exit_2(self, argv, contents,
                                                 message, tmp_path,

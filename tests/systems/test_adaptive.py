@@ -270,3 +270,33 @@ class TestPolicyConstruction:
         # config.adapt feeds the cadence; the advisor picked the opener
         assert session.policy.every == 3
         assert session.state.plan_key in PLANS
+
+    @pytest.mark.parametrize("start_plan", ["", "qd3"])
+    def test_make_adaptive_session_bins_once(self, monkeypatch,
+                                             start_plan):
+        from repro.core.serialize import ensemble_to_dict
+        from repro.data import dataset as data_dataset
+        from repro.systems import executor
+
+        raw = make_classification(120, 8, density=0.5, seed=2)
+        cfg = TrainConfig(num_trees=2, num_layers=3, num_candidates=6,
+                          adapt=1)
+        cluster = ClusterConfig(num_workers=2)
+        expect = make_adaptive_session(cfg, cluster, bin_dataset(raw, 6),
+                                       start_plan=start_plan).run()
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return bin_dataset(*args, **kwargs)
+
+        monkeypatch.setattr(data_dataset, "bin_dataset", counting)
+        monkeypatch.setattr(executor, "bin_dataset", counting)
+        session = make_adaptive_session(cfg, cluster, raw,
+                                        start_plan=start_plan)
+        # the advisor's opener verdict and the session share one binning
+        assert len(calls) == 1
+        got = session.run()
+        assert got.plan_history == expect.plan_history
+        assert ensemble_to_dict(got.ensemble) == \
+            ensemble_to_dict(expect.ensemble)

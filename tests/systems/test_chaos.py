@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 
 from repro import ClusterConfig, TrainConfig, make_classification, \
     make_system
-from repro.core.kernels import available_backends
+from repro.core.histogram import HistogramBuilder
+from repro.core.kernels import LoopKernels, NumpyKernels
 from repro.cluster.faults import (FaultInjector, FaultPlan,
                                   UnrecoverableFaultError)
 from repro.data.dataset import bin_dataset
@@ -296,30 +297,28 @@ class TestFaultPlanEdges:
         assert system.injector.counters.crashes + len(pending) == 3
 
 
-#: one pinned fault seed per kernel backend — the CI backends job's
-#: chaos row (seeds differ so each backend replays a distinct schedule)
-BACKEND_FAULT_SEEDS = {"numpy": 101, "pyloop": 202, "numba": 303}
-
-
 class TestChaosBackends:
-    """Fault recovery composes with the kernel-backend registry: a
-    faulty run on any available backend must replay to the exact model
-    the fault-free *numpy* run produces — one pinned seed per backend,
-    on the subtraction-heavy plan whose recovery path rebuilds
-    histograms."""
+    """Fault recovery composes with either kernel engine: a faulty run
+    on the numpy kernels or the loop oracle must replay to the exact
+    model the fault-free *numpy* run produces — one pinned seed per
+    engine (each replays a distinct schedule), on the subtraction-heavy
+    plan whose recovery path rebuilds histograms."""
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_faulty_run_matches_clean_numpy(self, binned, backend):
-        seed = BACKEND_FAULT_SEEDS[backend]
+    @pytest.mark.parametrize("kernels, seed", [
+        pytest.param(NumpyKernels, 101, id="numpy"),
+        pytest.param(LoopKernels, 202, id="pyloop"),
+    ])
+    def test_faulty_run_matches_clean_numpy(self, binned, kernels, seed):
         faults = f"{seed}:crash=2,drop=0.08,timeout=0.03"
         cluster = ClusterConfig(num_workers=4)
         clean_cfg = TrainConfig(num_trees=3, num_layers=4,
                                 num_candidates=8)
         fault_cfg = TrainConfig(num_trees=3, num_layers=4,
-                                num_candidates=8, faults=faults,
-                                backend=backend)
+                                num_candidates=8, faults=faults)
         clean = make_system("vero", clean_cfg, cluster).fit(binned)
-        faulty = make_system("vero", fault_cfg, cluster).fit(binned)
+        system = make_system("vero", fault_cfg, cluster)
+        system.hist_builder = HistogramBuilder(kernels=kernels())
+        faulty = system.fit(binned)
         assert len(clean.ensemble.trees) == len(faulty.ensemble.trees)
         for t_clean, t_faulty in zip(clean.ensemble.trees,
                                      faulty.ensemble.trees):

@@ -67,14 +67,3 @@ class TestClusterConfig:
 
     def test_bytes_per_second(self):
         assert NetworkModel(bandwidth_gbps=8.0).bytes_per_second == 1e9
-
-
-class TestBackendField:
-    def test_default_is_empty(self):
-        assert TrainConfig().backend == ""
-
-    def test_backend_carried_verbatim(self):
-        # resolution happens at build time (make_backend), so the config
-        # layer accepts any string and stays import-free
-        assert TrainConfig(backend="numba").backend == "numba"
-        assert TrainConfig(backend="auto").backend == "auto"
